@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,7 +25,6 @@
 #include "src/model/feasibility.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
-#include "src/parallel/thread_pool.h"
 #include "src/shortest/hub_labels.h"
 #include "src/shortest/oracle.h"
 #include "src/util/rng.h"
@@ -67,32 +67,16 @@ void BenchOracle(bool smoke, std::vector<std::string>* lines) {
   const RoadNetwork graph = MakeNycLike(0.12 * s, 1);
   const auto n = graph.num_vertices();
 
-  const auto seq_t0 = Clock::now();
+  const auto build_t0 = Clock::now();
   HubLabelOracle labels = HubLabelOracle::Build(graph);
-  const double seq_build_ms = MsSince(seq_t0);
-
-  ThreadPool pool(4);
-  const auto par_t0 = Clock::now();
-  const HubLabelOracle par_labels = HubLabelOracle::Build(graph, &pool);
-  const double par_build_ms = MsSince(par_t0);
-  if (!par_labels.SameLabels(labels)) {
-    std::fprintf(stderr,
-                 "bench_hotpath: parallel hub-label build diverged from the "
-                 "sequential build!\n");
-    std::exit(1);
-  }
+  const double build_ms = MsSince(build_t0);
 
   Record(lines, "hub_label_build",
          {{"graph", "nyc_like"},
           {"vertices", std::to_string(n)},
           {"threads", "1"},
           {"avg_label", Fmt(labels.average_label_size())}},
-         seq_build_ms, n / (seq_build_ms / 1e3), -1.0, -1.0, -1.0);
-  Record(lines, "hub_label_build",
-         {{"graph", "nyc_like"},
-          {"vertices", std::to_string(n)},
-          {"threads", "4"}},
-         par_build_ms, n / (par_build_ms / 1e3), -1.0, -1.0, -1.0);
+         build_ms, n / (build_ms / 1e3), -1.0, -1.0, -1.0);
 
   // Random point-to-point queries; latency sampled per batch so the clock
   // overhead does not drown sub-microsecond queries.
@@ -128,10 +112,6 @@ void BenchOracle(bool smoke, std::vector<std::string>* lines) {
          per_query_us.Percentile(99) * 1e-3);
 }
 
-const char* OrderName(VertexOrder order) {
-  return order == VertexOrder::kContraction ? "ch" : "degree";
-}
-
 // Times random point queries against `labels`, returning wall ms and
 // filling per-query microsecond percentiles (batch-sampled like the main
 // query bench so the clock never dominates).
@@ -160,66 +140,54 @@ double TimeQueries(HubLabelOracle* labels, VertexId n, std::int64_t queries,
   return ms;
 }
 
-// Ordering x quantization axes of the continental-scale oracle. The base
-// city records all four configs; the ~10x point records the before/after
-// pair (degree+exact is the historical default, CH+quantized the
-// continental configuration) so the trajectory shows the label-memory and
-// latency movement without paying four full builds at the large scale.
+// Quantization axis of the continental-scale oracle (labels are always
+// built in CH order): exact vs 32-bit labels at the base city and at ~10x,
+// so the trajectory shows the label-memory and latency movement with
+// graph size.
 void BenchOracleConfigs(bool smoke, std::vector<std::string>* lines) {
   const double s = EnvScale();
   struct GraphPoint {
     const char* name;
     double scale;
-    bool all_configs;
   };
   const std::vector<GraphPoint> points = {
-      {"nyc_like", 0.12 * s, true},
-      {"nyc_like_10x", 1.2 * s, false},
+      {"nyc_like", 0.12 * s},
+      {"nyc_like_10x", 1.2 * s},
   };
   for (const GraphPoint& pt : points) {
     const RoadNetwork graph = MakeNycLike(pt.scale, 1);
     const auto n = graph.num_vertices();
-    ThreadPool pool(4);
-    for (const VertexOrder order :
-         {VertexOrder::kDegree, VertexOrder::kContraction}) {
-      for (const bool quantize : {false, true}) {
-        if (!pt.all_configs &&
-            !((order == VertexOrder::kDegree && !quantize) ||
-              (order == VertexOrder::kContraction && quantize))) {
-          continue;
-        }
-        OracleOptions opts;
-        opts.order = order;
-        opts.quantize = quantize;
-        const auto b_t0 = Clock::now();
-        HubLabelOracle labels = HubLabelOracle::Build(graph, &pool, opts);
-        const double build_ms = MsSince(b_t0);
-        const std::int64_t queries =
-            smoke ? 20'000 : (pt.all_configs ? 500'000 : 200'000);
-        StatsAccumulator per_query_us;
-        const double q_ms = TimeQueries(&labels, n, queries, &per_query_us);
-        Record(lines, "hub_label_config",
-               {{"graph", pt.name},
-                {"vertices", std::to_string(n)},
-                {"order", OrderName(order)},
-                {"quantize", quantize ? "1" : "0"},
-                {"avg_label", Fmt(labels.average_label_size())},
-                {"label_memory_bytes", std::to_string(labels.MemoryBytes())},
-                {"build_ms", Fmt(build_ms)},
-                {"quant_error_bound", Fmt(labels.QuantizationErrorBound())},
-                {"queries", std::to_string(queries)}},
-               q_ms, queries / (q_ms / 1e3),
-               per_query_us.Percentile(50) * 1e-3,
-               per_query_us.Percentile(95) * 1e-3,
-               per_query_us.Percentile(99) * 1e-3);
-      }
+    std::optional<HubLabelOracle> exact;  // reused by the gather bench
+    for (const bool quantize : {false, true}) {
+      OracleOptions opts;
+      opts.quantize = quantize;
+      const auto b_t0 = Clock::now();
+      HubLabelOracle labels = HubLabelOracle::Build(graph, opts);
+      const double build_ms = MsSince(b_t0);
+      const std::int64_t queries = smoke ? 20'000 : 500'000;
+      StatsAccumulator per_query_us;
+      const double q_ms = TimeQueries(&labels, n, queries, &per_query_us);
+      Record(lines, "hub_label_config",
+             {{"graph", pt.name},
+              {"vertices", std::to_string(n)},
+              {"order", "ch"},
+              {"quantize", quantize ? "1" : "0"},
+              {"avg_label", Fmt(labels.average_label_size())},
+              {"label_memory_bytes", std::to_string(labels.MemoryBytes())},
+              {"build_ms", Fmt(build_ms)},
+              {"quant_error_bound", Fmt(labels.QuantizationErrorBound())},
+              {"queries", std::to_string(queries)}},
+             q_ms, queries / (q_ms / 1e3), per_query_us.Percentile(50) * 1e-3,
+             per_query_us.Percentile(95) * 1e-3,
+             per_query_us.Percentile(99) * 1e-3);
+      if (!quantize) exact.emplace(std::move(labels));
     }
 
     // Batched multi-source gather vs the point-query loop, in the shape
     // the planner issues (route positions x {origin, destination}). Both
     // modes produce bit-identical cells; the trajectory records the
     // per-cell latency of each.
-    HubLabelOracle labels = HubLabelOracle::Build(graph, &pool);
+    HubLabelOracle& labels = *exact;
     constexpr int kSources = 16, kTargets = 2;
     const std::int64_t rounds = smoke ? 2'000 : 50'000;
     Rng rng(13);

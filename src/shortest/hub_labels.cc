@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <queue>
 #include <utility>
 
-#include "src/parallel/thread_pool.h"
 #include "src/shortest/contraction.h"
 #include "src/shortest/dijkstra.h"
 
@@ -23,7 +21,7 @@ struct BuildEntry {
 };
 
 // Label lists under construction: per-vertex vectors, ascending rank by
-// construction (roots commit in rank order).
+// construction (roots are processed in rank order).
 using BuildLabels = std::vector<std::vector<BuildEntry>>;
 
 double QueryBuildLabels(const BuildLabels& labels, VertexId u, VertexId v) {
@@ -45,177 +43,69 @@ double QueryBuildLabels(const BuildLabels& labels, VertexId u, VertexId v) {
   return best;
 }
 
-// Reusable per-search state (one instance per speculative batch slot, so
-// concurrent searches never share).
-struct SearchScratch {
-  std::vector<double> dist;
-  std::vector<VertexId> touched;
-  std::vector<std::pair<VertexId, double>> out;  // pop-order label entries
-};
-
-// The pruned Dijkstra of PLL from `root`, evaluated against the (frozen)
-// label set `labels`. Returns, in scratch->out, exactly the entries the
-// sequential build would append had `labels` been the committed state: a
-// vertex u popped at distance d is labeled iff no pair of existing labels
-// certifies dis(root, u) <= d; pruned vertices are not expanded.
-void PrunedSearch(const RoadNetwork& graph, const BuildLabels& labels,
-                  VertexId root, SearchScratch* scratch) {
+// The pruned Dijkstra of PLL from `root`, which becomes hub `rank`: a
+// vertex u popped at distance d is labeled (rank, d) iff no pair of
+// existing labels certifies dis(root, u) <= d; pruned vertices are not
+// expanded. `dist` is all-infinity on entry and on return.
+void PrunedSearch(const RoadNetwork& graph, VertexId root, VertexId rank,
+                  std::vector<double>* dist, BuildLabels* labels) {
   using HeapEntry = std::pair<double, VertexId>;
   using MinHeap =
       std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>;
-  std::vector<double>& dist = scratch->dist;
-  std::vector<VertexId>& touched = scratch->touched;
-  scratch->out.clear();
+  std::vector<VertexId> touched{root};
   MinHeap heap;
-  dist[static_cast<std::size_t>(root)] = 0.0;
-  touched.clear();
-  touched.push_back(root);
+  (*dist)[static_cast<std::size_t>(root)] = 0.0;
   heap.push({0.0, root});
   while (!heap.empty()) {
     auto [d, u] = heap.top();
     heap.pop();
     const auto ui = static_cast<std::size_t>(u);
-    if (d > dist[ui]) continue;
+    if (d > (*dist)[ui]) continue;
     // Prune: if existing labels already certify a distance <= d between
     // root and u, u (and everything behind it) need not store this hub.
-    if (QueryBuildLabels(labels, root, u) <= d) continue;
-    scratch->out.push_back({u, d});
+    // Labeling u right away cannot affect later prunes of this search: a
+    // later query pairs root's label with a vertex not yet popped, which
+    // does not carry hub `rank` yet.
+    if (QueryBuildLabels(*labels, root, u) <= d) continue;
+    (*labels)[ui].push_back({rank, d});
     for (const auto& arc : graph.Neighbors(u)) {
       const auto vi = static_cast<std::size_t>(arc.to);
       const double nd = d + arc.cost;
-      if (nd < dist[vi]) {
-        if (dist[vi] == kInfDistance) touched.push_back(arc.to);
-        dist[vi] = nd;
+      if (nd < (*dist)[vi]) {
+        if ((*dist)[vi] == kInfDistance) touched.push_back(arc.to);
+        (*dist)[vi] = nd;
         heap.push({nd, arc.to});
       }
     }
   }
-  for (VertexId v : touched) dist[static_cast<std::size_t>(v)] = kInfDistance;
+  for (VertexId v : touched) (*dist)[static_cast<std::size_t>(v)] = kInfDistance;
 }
 
-// Root processing order per the chosen strategy. Stable sorts keep ties in
-// vertex-id order, so each ordering is fully deterministic.
-std::vector<VertexId> BuildOrder(const RoadNetwork& graph, VertexOrder order) {
-  const auto n = static_cast<std::size_t>(graph.num_vertices());
-  std::vector<VertexId> result(n);
-  std::iota(result.begin(), result.end(), 0);
-  if (order == VertexOrder::kContraction) {
-    // Most important = contracted last = highest CH rank first.
-    const std::vector<int> rank = ContractionOrder(graph);
-    std::stable_sort(result.begin(), result.end(),
-                     [&](VertexId a, VertexId b) {
-                       return rank[static_cast<std::size_t>(a)] >
-                              rank[static_cast<std::size_t>(b)];
-                     });
-  } else {
-    // Descending degree (cheap, effective proxy for betweenness on road
-    // networks).
-    std::stable_sort(result.begin(), result.end(),
-                     [&](VertexId a, VertexId b) {
-                       return graph.Neighbors(a).size() >
-                              graph.Neighbors(b).size();
-                     });
+// Root processing order: descending Contraction Hierarchies rank, so the
+// vertex contracted last (the most important) becomes hub 0. The CH rank
+// is a permutation, so the order has no ties.
+std::vector<VertexId> BuildOrder(const RoadNetwork& graph) {
+  const std::vector<int> rank = ContractionOrder(graph);
+  const std::size_t n = rank.size();
+  std::vector<VertexId> order(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    order[n - 1 - static_cast<std::size_t>(rank[v])] = static_cast<VertexId>(v);
   }
-  return result;
+  return order;
 }
 
 }  // namespace
 
-HubLabelOracle HubLabelOracle::Build(const RoadNetwork& graph) {
-  return Build(graph, nullptr, OracleOptions{});
-}
-
 HubLabelOracle HubLabelOracle::Build(const RoadNetwork& graph,
-                                     ThreadPool* pool) {
-  return Build(graph, pool, OracleOptions{});
-}
-
-HubLabelOracle HubLabelOracle::Build(const RoadNetwork& graph,
-                                     ThreadPool* pool,
                                      const OracleOptions& options) {
   HubLabelOracle oracle(&graph);
-  oracle.order_ = options.order;
   const auto n = static_cast<std::size_t>(graph.num_vertices());
 
-  const std::vector<VertexId> order = BuildOrder(graph, options.order);
-
+  const std::vector<VertexId> order = BuildOrder(graph);
   BuildLabels labels(n);
-
-  // Roots are processed in batches. Every root in a batch runs its pruned
-  // search speculatively (in parallel) against the label state frozen at
-  // the batch boundary; commits then happen strictly in rank order. A
-  // pending root's speculation is invalidated exactly when a hub committed
-  // ahead of it inside the batch would have pruned one of its speculative
-  // label entries — the first point at which its sequential search could
-  // diverge — and only then is its search re-run, now against the exact
-  // committed state. Batch size 1 degenerates to the sequential build, and
-  // validated commits are provably the sequential result, so the labels
-  // are bit-identical for every pool size.
-  const int threads = pool != nullptr ? pool->num_threads() : 1;
-  const std::size_t batch =
-      threads > 1 ? std::min<std::size_t>(4 * static_cast<std::size_t>(threads),
-                                          32)
-                  : 1;
-
-  std::vector<SearchScratch> scratch(batch);
-  for (auto& s : scratch) s.dist.assign(n, kInfDistance);
-  std::vector<char> dirty(batch, 0);
-  // Dense scatter of the just-committed root's label distances, used to
-  // evaluate the new-hub query contribution d(root_j, x) + d(x, u) in O(1)
-  // per entry. Cleared after each commit by re-scattering.
-  std::vector<double> commit_dist(n, kInfDistance);
-
-  for (std::size_t s = 0; s < n; s += batch) {
-    const std::size_t e = std::min(n, s + batch);
-    const auto run_spec = [&](std::int64_t b) {
-      PrunedSearch(graph, labels, order[s + static_cast<std::size_t>(b)],
-                   &scratch[static_cast<std::size_t>(b)]);
-    };
-    if (batch > 1 && e - s > 1) {
-      pool->ParallelFor(0, static_cast<std::int64_t>(e - s), run_spec);
-    } else {
-      for (std::size_t b = 0; b < e - s; ++b) {
-        run_spec(static_cast<std::int64_t>(b));
-      }
-    }
-    std::fill(dirty.begin(), dirty.begin() + static_cast<std::ptrdiff_t>(e - s),
-              0);
-
-    for (std::size_t j = s; j < e; ++j) {
-      SearchScratch& sj = scratch[j - s];
-      if (dirty[j - s] != 0) {
-        // Speculation invalidated: labels now hold exactly the sequential
-        // state L_{j-1}, so this re-run is the sequential search itself.
-        PrunedSearch(graph, labels, order[j], &sj);
-      }
-      const auto rank_j = static_cast<VertexId>(j);
-      for (const auto& [u, d] : sj.out) {
-        labels[static_cast<std::size_t>(u)].push_back({rank_j, d});
-      }
-      if (j + 1 == e) continue;
-      // Validate the batch's still-pending speculations against this
-      // commit. The only way root_k's sequential search can differ from
-      // its speculation is a label entry (u, d) flipping to pruned, i.e.
-      // d(root_j, root_k) + d(root_j, u) <= d with both distances taken
-      // from root_j's committed output (<= mirrors the prune comparison).
-      for (const auto& [u, d] : sj.out) {
-        commit_dist[static_cast<std::size_t>(u)] = d;
-      }
-      for (std::size_t k = j + 1; k < e; ++k) {
-        if (dirty[k - s] != 0) continue;
-        const double dj = commit_dist[static_cast<std::size_t>(order[k])];
-        if (dj == kInfDistance) continue;  // root_k gained no hub-j label
-        for (const auto& [u, d] : scratch[k - s].out) {
-          if (dj + commit_dist[static_cast<std::size_t>(u)] <= d) {
-            dirty[k - s] = 1;
-            break;
-          }
-        }
-      }
-      for (const auto& entry : sj.out) {
-        commit_dist[static_cast<std::size_t>(entry.first)] = kInfDistance;
-      }
-    }
+  std::vector<double> dist(n, kInfDistance);
+  for (std::size_t j = 0; j < n; ++j) {
+    PrunedSearch(graph, order[j], static_cast<VertexId>(j), &dist, &labels);
   }
 
   // Flatten into CSR (structure of arrays): per-vertex offsets plus one
@@ -239,9 +129,8 @@ HubLabelOracle HubLabelOracle::Build(const RoadNetwork& graph,
   }
 
   if (options.quantize) {
-    // Quantization happens strictly after the (double-precision) build, so
-    // the parallel-build bit-identity argument above is untouched: the
-    // quantized arrays are a pure function of the exact ones. Scale maps
+    // Quantization happens strictly after the (double-precision) build:
+    // the quantized arrays are a pure function of the exact ones. Scale maps
     // the largest finite label distance to the saturation cap, so every
     // build entry encodes without saturating; the cap and the infinity
     // sentinel exist for the encoding helpers and defensive symmetry.

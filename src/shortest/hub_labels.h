@@ -1,6 +1,7 @@
 #ifndef URPSM_SRC_SHORTEST_HUB_LABELS_H_
 #define URPSM_SRC_SHORTEST_HUB_LABELS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -9,26 +10,8 @@
 
 namespace urpsm {
 
-class ThreadPool;
-
-/// Root processing order for the pruned-landmark-labeling build. The order
-/// only changes which vertices become hubs early — every ordering yields an
-/// exact oracle, so simulation outputs are bit-identical across orderings
-/// (same distances, merely different label sizes and query speed).
-enum class VertexOrder {
-  /// Descending degree: cheap, effective proxy for betweenness on
-  /// road-like planar graphs. The historical default.
-  kDegree,
-  /// Descending Contraction Hierarchies rank (vertices contracted last by
-  /// the lazy edge-difference heuristic first). Costs a CH contraction
-  /// pass at build time and measurably shrinks labels versus degree order.
-  kContraction,
-};
-
-/// Build-time options for HubLabelOracle. The defaults reproduce the
-/// historical build bit for bit.
+/// Build-time options for HubLabelOracle. The defaults give exact labels.
 struct OracleOptions {
-  VertexOrder order = VertexOrder::kDegree;
   /// Store label distances as 32-bit fixed point instead of doubles,
   /// shrinking CSR labels from 12 to 8 bytes per entry. Queries then carry
   /// a proven absolute error bound of `quantization_error_bound()`; exact
@@ -42,8 +25,16 @@ struct OracleOptions {
 /// the paper uses for on-the-fly shortest distance and path queries
 /// (Sec. 6.1). The label of a vertex v is a sorted list of (hub, distance)
 /// pairs; dis(u, v) = min over common hubs h of d(u,h) + d(h,v). Pruned
-/// Dijkstras are run from vertices in a pluggable importance order
-/// (VertexOrder), which keeps labels small on road-like planar graphs.
+/// Dijkstras are run from roots in descending Contraction Hierarchies rank
+/// (vertices contracted last by the lazy edge-difference heuristic first),
+/// which keeps labels small on road-like planar graphs: ~38 entries per
+/// vertex on MakeChengduLike(1.0), against ~676 for descending degree.
+///
+/// The hub order fixes which hub realises each distance, and d(h,u) + d(h,v)
+/// rounds differently for different h. Any other order would therefore
+/// return distances that differ in the last bits (up to ~1e-15 relative),
+/// and those can flip near-ties in the planner: simulation outputs are a
+/// function of the order, not only of the graph.
 ///
 /// Labels are stored in CSR layout: one contiguous hub-rank array and one
 /// contiguous hub-distance array (structure of arrays), plus per-vertex
@@ -52,23 +43,20 @@ struct OracleOptions {
 /// padding (12 bytes per label exact, 8 quantized).
 class HubLabelOracle : public DistanceOracle {
  public:
-  /// Builds labels for `graph` sequentially with default options.
-  /// O(sum label sizes * log) preprocessing; intended for graphs up to a
-  /// few hundred thousand vertices.
-  static HubLabelOracle Build(const RoadNetwork& graph);
+  /// Builds labels for `graph`: a CH contraction pass for the root order,
+  /// then one pruned Dijkstra per root, sequentially. O(sum label sizes *
+  /// log) preprocessing; intended for graphs up to a few hundred thousand
+  /// vertices.
+  static HubLabelOracle Build(const RoadNetwork& graph,
+                              const OracleOptions& options = {});
 
-  /// Parallel build over `pool` (nullptr or size 1 falls back to the
-  /// sequential build). Roots are processed in speculative batches against
-  /// a frozen label snapshot and committed strictly in rank order; a
-  /// speculative search is re-run sequentially exactly when a hub committed
-  /// ahead of it would have pruned one of its label entries, so the result
-  /// is bit-identical to the sequential build for every pool size (per
-  /// ordering — the guarantee holds separately for each VertexOrder).
-  static HubLabelOracle Build(const RoadNetwork& graph, ThreadPool* pool);
-
-  /// Full-control build: vertex ordering and quantization per `options`.
-  static HubLabelOracle Build(const RoadNetwork& graph, ThreadPool* pool,
-                              const OracleOptions& options);
+  /// Same build, in the (graph, pool, options) call shape of callers
+  /// written when the build could fan out over a thread pool. The build is
+  /// sequential, so the only pool accepted is nullptr.
+  static HubLabelOracle Build(const RoadNetwork& graph, std::nullptr_t,
+                              const OracleOptions& options) {
+    return Build(graph, options);
+  }
 
   double Distance(VertexId u, VertexId v) override;
 
@@ -94,7 +82,6 @@ class HubLabelOracle : public DistanceOracle {
   /// are shrunk to size after build, and this sums size() * element width.
   std::int64_t MemoryBytes() const;
 
-  VertexOrder order() const { return order_; }
   bool quantized() const { return quantized_; }
 
   /// Proven worst-case absolute error of any Distance/BatchQuery result:
@@ -118,8 +105,8 @@ class HubLabelOracle : public DistanceOracle {
   double quant_resolution() const { return quant_resolution_; }
 
   /// Exact equality of the label structure (offsets, hub ranks and hub
-  /// distances — exact or quantized — bit for bit). Used to prove parallel
-  /// builds identical to sequential ones.
+  /// distances — exact or quantized — bit for bit). Used to prove that
+  /// every Build entry point produces the same labels.
   bool SameLabels(const HubLabelOracle& other) const {
     return offsets_ == other.offsets_ && hub_rank_ == other.hub_rank_ &&
            hub_dist_ == other.hub_dist_ && hub_dist_q_ == other.hub_dist_q_ &&
@@ -140,14 +127,13 @@ class HubLabelOracle : public DistanceOracle {
   void RestoreColumn(VertexId v, double* col, std::size_t stride) const;
 
   const RoadNetwork* graph_;
-  VertexOrder order_ = VertexOrder::kDegree;
   bool quantized_ = false;
   double quant_resolution_ = 0.0;        // minutes per quantum; 0 = exact
   double quant_scale_ = 0.0;             // quanta per minute; 0 = exact
   double quantization_error_bound_ = 0.0;
   // CSR label storage: vertex v's label occupies [offsets_[v], offsets_[v+1])
   // in hub_rank_ and hub_dist_ (exact) or hub_dist_q_ (quantized), sorted by
-  // hub rank ascending (ranks are positions in the build order, so lists are
+  // hub rank ascending (ranks are positions in the root order, so lists are
   // sorted by construction). Exactly one of the distance arrays is non-empty.
   std::vector<std::int64_t> offsets_;
   std::vector<VertexId> hub_rank_;

@@ -1,9 +1,9 @@
-// Tests for the continental-scale oracle work: pluggable vertex orderings
-// (degree vs CH contraction) with per-ordering parallel-build bit-identity,
+// Tests for the continental-scale oracle work: the CH contraction root
+// order (label size on a city graph, exactness against plain Dijkstra),
 // 32-bit quantized label distances (saturation/infinity semantics and the
 // proven error bound), the batched multi-source BatchQuery sweep through
-// HubLabelOracle / CachedOracle / GatherDistanceColumns, and the
-// ordering-identity gate on the determinism workload.
+// HubLabelOracle / CachedOracle / GatherDistanceColumns, and thread-count
+// identity of quantized runs.
 
 #include <cmath>
 #include <cstdint>
@@ -15,7 +15,6 @@
 #include "src/graph/builders.h"
 #include "src/insertion/insertion.h"
 #include "src/model/feasibility.h"
-#include "src/parallel/thread_pool.h"
 #include "src/shortest/contraction.h"
 #include "src/shortest/dijkstra.h"
 #include "src/shortest/hub_labels.h"
@@ -53,11 +52,24 @@ RoadNetwork MakeTwoComponentGraph() {
   return RoadNetwork::FromEdges(std::move(coords), edges);
 }
 
-OracleOptions Opts(VertexOrder order, bool quantize) {
+OracleOptions Quantized() {
   OracleOptions o;
-  o.order = order;
-  o.quantize = quantize;
+  o.quantize = true;
   return o;
+}
+
+// Full-scale Chengdu-like city and its labels, built once for the tests
+// that need the day_taxi-sized graph (the CH build dominates their cost).
+struct ChengduCity {
+  ChengduCity()
+      : graph(MakeChengduLike(1.0)), labels(HubLabelOracle::Build(graph)) {}
+  RoadNetwork graph;
+  HubLabelOracle labels;
+};
+
+ChengduCity& Chengdu() {
+  static ChengduCity* city = new ChengduCity();
+  return *city;
 }
 
 // --------------------------------------------------------- vertex ordering
@@ -80,9 +92,7 @@ TEST(HubLabelOrderTest, ContractionOrderMatchesDijkstraOnRandomGraphs) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     Rng grng(40 + seed);
     const RoadNetwork g = MakeRandomGeometricGraph(160, 12.0, 4, &grng);
-    HubLabelOracle labels = HubLabelOracle::Build(
-        g, nullptr, Opts(VertexOrder::kContraction, false));
-    EXPECT_EQ(labels.order(), VertexOrder::kContraction);
+    HubLabelOracle labels = HubLabelOracle::Build(g);
     DijkstraOracle truth(&g);
     Rng rng(7 * seed);
     for (int trial = 0; trial < 150; ++trial) {
@@ -95,46 +105,57 @@ TEST(HubLabelOrderTest, ContractionOrderMatchesDijkstraOnRandomGraphs) {
 }
 
 TEST(HubLabelOrderTest, ContractionOrderShrinksLabelsOnCityGraph) {
-  const RoadNetwork g = MakeNycLike(0.06, 1);
-  HubLabelOracle degree =
-      HubLabelOracle::Build(g, nullptr, Opts(VertexOrder::kDegree, false));
-  HubLabelOracle ch = HubLabelOracle::Build(
-      g, nullptr, Opts(VertexOrder::kContraction, false));
-  // The CH importance order is the point of the pluggable strategy: it must
-  // measurably beat the degree proxy on road-like graphs.
-  EXPECT_LT(ch.average_label_size(), degree.average_label_size());
-  EXPECT_LT(ch.MemoryBytes(), degree.MemoryBytes());
+  // The CH root order is what keeps labels small on road-like graphs: on
+  // the full-scale Chengdu-like city it gives ~38.5 entries per vertex,
+  // where descending degree gave ~676.
+  ChengduCity& city = Chengdu();
+  EXPECT_GT(city.labels.average_label_size(), 0.0);
+  EXPECT_LE(city.labels.average_label_size(), 60.0);
 }
 
-TEST(HubLabelOrderTest, ParallelBuildBitIdenticalPerOrderingAndQuant) {
-  Rng grng(77);
-  const RoadNetwork g = MakeRandomGeometricGraph(220, 14.0, 4, &grng);
-  for (const VertexOrder order :
-       {VertexOrder::kDegree, VertexOrder::kContraction}) {
-    for (const bool quantize : {false, true}) {
-      const OracleOptions opts = Opts(order, quantize);
-      const HubLabelOracle seq = HubLabelOracle::Build(g, nullptr, opts);
-      for (const int threads : {2, 5, 8}) {
-        ThreadPool pool(threads);
-        const HubLabelOracle par = HubLabelOracle::Build(g, &pool, opts);
-        EXPECT_TRUE(seq.SameLabels(par))
-            << "order=" << static_cast<int>(order)
-            << " quantize=" << quantize << " threads=" << threads;
+TEST(HubLabelOrderTest, CityLabelsMatchDijkstraOnSampledPairs) {
+  // Exactness on the day_taxi-sized city, checked against plain Dijkstra
+  // (which shares no code with the labels): every sampled label distance
+  // matches the Dijkstra distance within a relative 1e-12. The two sum the
+  // same path's edges in different orders, so they may differ in the last
+  // bits, never more.
+  ChengduCity& city = Chengdu();
+  const RoadNetwork& g = city.graph;
+  const VertexId n = g.num_vertices();
+  Rng rng(29);
+  constexpr int kSources = 40;
+  std::int64_t pairs = 0;
+  for (int k = 0; k < kSources; ++k) {
+    const VertexId s = rng.UniformInt(0, n - 1);
+    const std::vector<double> truth = DijkstraAll(g, s);
+    for (VertexId t = 0; t < n; ++t) {
+      const double want = truth[static_cast<std::size_t>(t)];
+      const double got = city.labels.Distance(s, t);
+      ++pairs;
+      if (want == kInfDistance) {
+        ASSERT_EQ(got, kInfDistance) << "s=" << s << " t=" << t;
+      } else {
+        ASSERT_LE(std::abs(got - want), 1e-12 * want)
+            << "s=" << s << " t=" << t << " got=" << got << " want=" << want;
       }
     }
   }
+  EXPECT_GE(pairs, 100'000);
 }
 
 TEST(HubLabelOrderTest, DefaultOptionsReproduceLegacyBuild) {
+  // Every entry point builds the same exact CH-order labels: the
+  // one-argument build, the default options, and the (graph, nullptr,
+  // options) call shape.
   Rng grng(5);
   const RoadNetwork g = MakeRandomGeometricGraph(180, 12.0, 4, &grng);
   const HubLabelOracle legacy = HubLabelOracle::Build(g);
-  const HubLabelOracle opted =
-      HubLabelOracle::Build(g, nullptr, OracleOptions{});
-  EXPECT_TRUE(legacy.SameLabels(opted));
-  EXPECT_EQ(legacy.order(), VertexOrder::kDegree);
+  EXPECT_TRUE(legacy.SameLabels(HubLabelOracle::Build(g, OracleOptions{})));
+  EXPECT_TRUE(
+      legacy.SameLabels(HubLabelOracle::Build(g, nullptr, OracleOptions{})));
   EXPECT_FALSE(legacy.quantized());
   EXPECT_EQ(legacy.QuantizationErrorBound(), 0.0);
+  EXPECT_EQ(legacy.quant_resolution(), 0.0);
 }
 
 // ------------------------------------------------------------ quantization
@@ -170,8 +191,7 @@ TEST(HubLabelQuantTest, HelpersSaturateAndRoundTripInfinity) {
 
 TEST(HubLabelQuantTest, DisconnectedPairsStayInfinite) {
   const RoadNetwork g = MakeTwoComponentGraph();
-  HubLabelOracle labels = HubLabelOracle::Build(
-      g, nullptr, Opts(VertexOrder::kDegree, true));
+  HubLabelOracle labels = HubLabelOracle::Build(g, Quantized());
   EXPECT_TRUE(labels.quantized());
   const VertexId a = 0;               // first grid
   const VertexId b = 12;              // second grid
@@ -191,8 +211,7 @@ TEST(HubLabelQuantTest, ZeroLengthEdgesQuantizeExactly) {
   // All-zero edge costs make every finite distance 0; the degenerate scale
   // must not divide by zero, and results stay exact.
   const RoadNetwork g = MakePathGraph(12, 0.0);
-  HubLabelOracle labels = HubLabelOracle::Build(
-      g, nullptr, Opts(VertexOrder::kDegree, true));
+  HubLabelOracle labels = HubLabelOracle::Build(g, Quantized());
   Rng rng(3);
   for (int trial = 0; trial < 40; ++trial) {
     const VertexId s = rng.UniformInt(0, g.num_vertices() - 1);
@@ -205,29 +224,24 @@ TEST(HubLabelQuantTest, ErrorBoundHoldsAcrossRandomGraphs) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     Rng grng(60 + seed);
     const RoadNetwork g = MakeRandomGeometricGraph(170, 13.0, 4, &grng);
-    for (const VertexOrder order :
-         {VertexOrder::kDegree, VertexOrder::kContraction}) {
-      HubLabelOracle exact = HubLabelOracle::Build(g, nullptr,
-                                                   Opts(order, false));
-      HubLabelOracle quant = HubLabelOracle::Build(g, nullptr,
-                                                   Opts(order, true));
-      const double bound = quant.QuantizationErrorBound();
-      ASSERT_GT(bound, 0.0);
-      EXPECT_GT(quant.quant_resolution(), 0.0);
-      // Quantized labels store half the bytes of the exact ones.
-      EXPECT_LT(quant.MemoryBytes(), exact.MemoryBytes());
-      Rng rng(9 * seed);
-      for (int trial = 0; trial < 200; ++trial) {
-        const VertexId s = rng.UniformInt(0, g.num_vertices() - 1);
-        const VertexId t = rng.UniformInt(0, g.num_vertices() - 1);
-        const double de = exact.Distance(s, t);
-        const double dq = quant.Distance(s, t);
-        if (de == kInfDistance) {
-          EXPECT_EQ(dq, kInfDistance);
-        } else {
-          EXPECT_LE(std::abs(dq - de), bound)
-              << "seed=" << seed << " s=" << s << " t=" << t;
-        }
+    HubLabelOracle exact = HubLabelOracle::Build(g);
+    HubLabelOracle quant = HubLabelOracle::Build(g, Quantized());
+    const double bound = quant.QuantizationErrorBound();
+    ASSERT_GT(bound, 0.0);
+    EXPECT_GT(quant.quant_resolution(), 0.0);
+    // Quantized labels store half the bytes of the exact ones.
+    EXPECT_LT(quant.MemoryBytes(), exact.MemoryBytes());
+    Rng rng(9 * seed);
+    for (int trial = 0; trial < 200; ++trial) {
+      const VertexId s = rng.UniformInt(0, g.num_vertices() - 1);
+      const VertexId t = rng.UniformInt(0, g.num_vertices() - 1);
+      const double de = exact.Distance(s, t);
+      const double dq = quant.Distance(s, t);
+      if (de == kInfDistance) {
+        EXPECT_EQ(dq, kInfDistance);
+      } else {
+        EXPECT_LE(std::abs(dq - de), bound)
+            << "seed=" << seed << " s=" << s << " t=" << t;
       }
     }
   }
@@ -245,8 +259,7 @@ TEST(HubLabelQuantTest, SimReportSurfacesErrorBound) {
       GenerateRequests(graph, rp, &exact, &rng);
   const std::vector<Worker> workers = GenerateWorkers(graph, 6, 4.0, &rng);
 
-  HubLabelOracle quant = HubLabelOracle::Build(
-      graph, nullptr, Opts(VertexOrder::kDegree, true));
+  HubLabelOracle quant = HubLabelOracle::Build(graph, Quantized());
   SimOptions options;
   {
     Simulation sim(&graph, &quant, workers, &requests, options);
@@ -267,41 +280,37 @@ TEST(HubLabelQuantTest, SimReportSurfacesErrorBound) {
 TEST(OracleBatchQueryTest, MatchesPointQueriesExactly) {
   Rng grng(31);
   const RoadNetwork g = MakeRandomGeometricGraph(200, 13.0, 4, &grng);
-  for (const VertexOrder order :
-       {VertexOrder::kDegree, VertexOrder::kContraction}) {
-    for (const bool quantize : {false, true}) {
-      HubLabelOracle labels =
-          HubLabelOracle::Build(g, nullptr, Opts(order, quantize));
-      Rng rng(13);
-      for (int trial = 0; trial < 30; ++trial) {
-        const int ns = rng.UniformInt(1, 9);
-        const int nt = rng.UniformInt(1, 4);
-        std::vector<VertexId> sources, targets;
-        for (int i = 0; i < ns; ++i) {
-          sources.push_back(rng.UniformInt(0, g.num_vertices() - 1));
-        }
+  for (const bool quantize : {false, true}) {
+    HubLabelOracle labels =
+        HubLabelOracle::Build(g, quantize ? Quantized() : OracleOptions{});
+    Rng rng(13);
+    for (int trial = 0; trial < 30; ++trial) {
+      const int ns = rng.UniformInt(1, 9);
+      const int nt = rng.UniformInt(1, 4);
+      std::vector<VertexId> sources, targets;
+      for (int i = 0; i < ns; ++i) {
+        sources.push_back(rng.UniformInt(0, g.num_vertices() - 1));
+      }
+      for (int j = 0; j < nt; ++j) {
+        targets.push_back(rng.UniformInt(0, g.num_vertices() - 1));
+      }
+      if (trial % 3 == 0 && ns > 1) sources[1] = sources[0];  // duplicate
+      if (trial % 4 == 0) targets[0] = sources[0];            // s == t cell
+      const std::int64_t before = labels.query_count();
+      std::vector<double> out;
+      labels.BatchQuery(sources, targets, &out);
+      EXPECT_EQ(labels.query_count() - before,
+                static_cast<std::int64_t>(ns) * nt);
+      ASSERT_EQ(out.size(), static_cast<std::size_t>(ns) *
+                                static_cast<std::size_t>(nt));
+      for (int i = 0; i < ns; ++i) {
         for (int j = 0; j < nt; ++j) {
-          targets.push_back(rng.UniformInt(0, g.num_vertices() - 1));
-        }
-        if (trial % 3 == 0 && ns > 1) sources[1] = sources[0];  // duplicate
-        if (trial % 4 == 0) targets[0] = sources[0];            // s == t cell
-        const std::int64_t before = labels.query_count();
-        std::vector<double> out;
-        labels.BatchQuery(sources, targets, &out);
-        EXPECT_EQ(labels.query_count() - before,
-                  static_cast<std::int64_t>(ns) * nt);
-        ASSERT_EQ(out.size(), static_cast<std::size_t>(ns) *
-                                  static_cast<std::size_t>(nt));
-        for (int i = 0; i < ns; ++i) {
-          for (int j = 0; j < nt; ++j) {
-            // Bit-identical, not just close: the sweep forms the same
-            // candidate sums and min over doubles is order-independent.
-            EXPECT_EQ(out[static_cast<std::size_t>(i * nt + j)],
-                      labels.Distance(sources[static_cast<std::size_t>(i)],
-                                      targets[static_cast<std::size_t>(j)]))
-                << "order=" << static_cast<int>(order)
-                << " quantize=" << quantize << " i=" << i << " j=" << j;
-          }
+          // Bit-identical, not just close: the sweep forms the same
+          // candidate sums and min over doubles is order-independent.
+          EXPECT_EQ(out[static_cast<std::size_t>(i * nt + j)],
+                    labels.Distance(sources[static_cast<std::size_t>(i)],
+                                    targets[static_cast<std::size_t>(j)]))
+              << "quantize=" << quantize << " i=" << i << " j=" << j;
         }
       }
     }
@@ -440,7 +449,7 @@ TEST(OracleBatchQueryTest, MultiRouteGatherMatchesPerRoute) {
   EXPECT_EQ(multi_queries, per_route_queries);
 }
 
-// ------------------------------------------------------- ordering identity
+// ------------------------------------------------- thread-count identity
 
 struct IdentityRun {
   SimReport report;
@@ -474,54 +483,13 @@ void ExpectIdenticalRuns(const IdentityRun& a, const IdentityRun& b,
   EXPECT_EQ(a.served, b.served);
 }
 
-TEST(OrderingIdentityTest, DegreeAndContractionOrdersAreOutputIdentical) {
-  // Reordering is exact — the oracle answers the same distances whatever
-  // the build order — so the full simulation must be byte-identical on the
-  // determinism workload under every ordering.
-  const RoadNetwork graph = MakeChengduLike(0.05, 2);
-  HubLabelOracle degree = HubLabelOracle::Build(graph);
-  HubLabelOracle ch = HubLabelOracle::Build(
-      graph, nullptr, Opts(VertexOrder::kContraction, false));
-
-  Rng rng(17);
-  RequestParams rp;
-  rp.count = 260;
-  rp.duration_min = 240.0;
-  rp.seed = 23;
-  const std::vector<Request> requests =
-      GenerateRequests(graph, rp, &degree, &rng);
-  const std::vector<Worker> workers = GenerateWorkers(graph, 14, 4.0, &rng);
-
-  const IdentityRun base = RunWorkload(graph, &degree, workers, requests,
-                                       MakePruneGreedyDpFactory({}), 1);
-  ASSERT_GT(base.report.served_requests, 0);
-  const IdentityRun reordered = RunWorkload(graph, &ch, workers, requests,
-                                            MakePruneGreedyDpFactory({}), 1);
-  ExpectIdenticalRuns(base, reordered, "degree vs contraction order");
-  // Same factory, same thread count: the query trace matches cell for cell.
-  EXPECT_EQ(base.report.index_memory_bytes, reordered.report.index_memory_bytes)
-      << "(cache memory, not labels — should match)";
-
-  // The unpruned planner drives the batched multi-route gather path; it
-  // must agree across orderings too.
-  PlannerConfig unpruned;
-  unpruned.use_pruning = false;
-  const IdentityRun base_np = RunWorkload(graph, &degree, workers, requests,
-                                          MakeGreedyDpFactory(unpruned), 1);
-  const IdentityRun ch_np = RunWorkload(graph, &ch, workers, requests,
-                                        MakeGreedyDpFactory(unpruned), 1);
-  ExpectIdenticalRuns(base_np, ch_np, "unpruned degree vs contraction");
-  EXPECT_EQ(base.report.served_requests, base_np.report.served_requests);
-}
-
 TEST(OrderingIdentityTest, QuantizedRunIsThreadCountIdentical) {
   // Quantization changes reported values within the error bound, but the
   // run must stay a pure function of the (quantized) oracle — identical
   // across thread counts.
   const RoadNetwork graph = MakeChengduLike(0.05, 2);
   HubLabelOracle exact = HubLabelOracle::Build(graph);
-  HubLabelOracle quant = HubLabelOracle::Build(
-      graph, nullptr, Opts(VertexOrder::kDegree, true));
+  HubLabelOracle quant = HubLabelOracle::Build(graph, Quantized());
 
   Rng rng(17);
   RequestParams rp;
@@ -564,8 +532,7 @@ TEST(HubLabelOrderTest, MemoryBytesReportsExactCsrSize) {
                                       total * sizeof(VertexId) +
                                       total * sizeof(double)));
 
-  HubLabelOracle quant =
-      HubLabelOracle::Build(g, nullptr, Opts(VertexOrder::kDegree, true));
+  HubLabelOracle quant = HubLabelOracle::Build(g, Quantized());
   EXPECT_EQ(quant.MemoryBytes(),
             static_cast<std::int64_t>((n + 1) * sizeof(std::int64_t) +
                                       total * sizeof(VertexId) +
