@@ -121,23 +121,6 @@ void BM_HubLabelsPointGather(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * ns * 2);
 }
 
-void BM_CachedHubLabels(benchmark::State& state) {
-  auto& f = Fixture();
-  CachedOracle cached(f.labels.get(), 1 << 20);
-  Rng rng(1);
-  // Zipf-ish reuse: a small hot set, as route planning produces.
-  std::vector<std::pair<VertexId, VertexId>> hot;
-  for (int i = 0; i < 64; ++i) {
-    hot.push_back({rng.UniformInt(0, f.graph.num_vertices() - 1),
-                   rng.UniformInt(0, f.graph.num_vertices() - 1)});
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto& [s, t] = hot[i++ & 63];
-    benchmark::DoNotOptimize(cached.Distance(s, t));
-  }
-}
-
 void BM_ContractionHierarchy(benchmark::State& state) {
   auto& f = Fixture();
   Rng rng(1);
@@ -166,7 +149,6 @@ BENCHMARK(BM_HubLabelsBatchGather)->Arg(4)->Arg(16)->Arg(64);
 BENCHMARK(BM_HubLabelsPointGather)->Arg(4)->Arg(16)->Arg(64);
 BENCHMARK(BM_ContractionHierarchy);
 BENCHMARK(BM_AltOracle);
-BENCHMARK(BM_CachedHubLabels);
 
 }  // namespace
 }  // namespace urpsm

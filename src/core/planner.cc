@@ -66,12 +66,12 @@ WorkerId PlanRequestSequential(PlanningContext* ctx, Fleet* fleet,
   // Multi-route gather (below) fetches every ordered candidate's columns
   // in one fused sweep, so per-candidate query attribution — and with it
   // the memo's re-billing contract — is impossible there. The memo also
-  // needs a CachedOracle to re-bill into; without one it stands down and
+  // needs a BilledOracle to re-bill into; without one it stands down and
   // the scan behaves exactly as if no memo were passed.
   const bool batch_gather = spec == nullptr && !config.use_pruning;
-  CachedOracle* const billing =
+  BilledOracle* const billing =
       memo != nullptr && !batch_gather
-          ? dynamic_cast<CachedOracle*>(ctx->oracle())
+          ? dynamic_cast<BilledOracle*>(ctx->oracle())
           : nullptr;
   const bool use_memo = billing != nullptr;
 
@@ -237,8 +237,7 @@ WorkerId PlanRequestSequential(PlanningContext* ctx, Fleet* fleet,
     } else if (use_memo) {
       // A version-matched DP entry reproduces the exact evaluation —
       // result and billed query count alike (both are pure functions of
-      // (route@version, request); CachedOracle bills cache hits too, so
-      // the count is warmth-independent). Hits re-bill the recorded
+      // (route@version, request)). Hits re-bill the recorded
       // count to the active scope; the queries actually avoided are
       // accounted separately in saved_queries.
       const std::uint64_t version = fleet->route(w).version();
@@ -254,7 +253,7 @@ WorkerId PlanRequestSequential(PlanningContext* ctx, Fleet* fleet,
         ++memo->misses;
         std::int64_t eval_queries = 0;
         {
-          const CachedOracle::BillingScope eval_scope(&eval_queries);
+          const BilledOracle::BillingScope eval_scope(&eval_queries);
           cand = LinearDpInsertion(fleet->worker(w), fleet->route(w),
                                    spec != nullptr
                                        ? fleet->CachedStateLocked(w, ctx)

@@ -259,7 +259,7 @@ struct SpecCapture {
 /// query total are bit-identical to a fresh scan. The memo is ignored on
 /// the batch-gather path (pruning off, non-speculative) where per-
 /// candidate query attribution is impossible, and when the context's
-/// oracle is not a CachedOracle (no billing scope to re-bill into).
+/// oracle is not a BilledOracle (no billing scope to re-bill into).
 WorkerId PlanRequestSequential(PlanningContext* ctx, Fleet* fleet,
                                const PlannerConfig& config, const Request& r,
                                double L,

@@ -3,12 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "src/graph/road_network.h"
-#include "src/util/sharded_lru_cache.h"
 
 namespace urpsm {
 
@@ -22,7 +19,8 @@ class Registry;
 ///
 /// The paper assumes a shortest-distance query takes O(1) (or O(q)) time and
 /// answers them with a hub-based labeling plus a shared LRU cache
-/// (Sec. 6.1). All algorithms in this library talk to this interface, and
+/// (Sec. 6.1). This library keeps the labeling but drops the cache (see
+/// BilledOracle). All algorithms in this library talk to this interface, and
 /// the number of `Distance` calls is the "distance query" count reported by
 /// the pruning experiments (Figs. 3 and 6).
 ///
@@ -98,30 +96,30 @@ class DijkstraOracle : public DistanceOracle {
   const RoadNetwork* graph_;
 };
 
-/// Decorator adding the paper's shared LRU cache on top of any oracle.
-/// Cache hits do not count as queries of the inner oracle but do count as
-/// queries of this oracle (the paper's "saved queries" metric counts calls
-/// that never happen at all thanks to pruning, not cache hits).
+/// Per-run decorator over the shared oracle: bills every call (to this
+/// oracle's counter or to the thread's BillingScope sink), short-circuits
+/// u == v to 0, and hosts the kOracleDelay fault site. Everything else
+/// forwards to the inner oracle.
 ///
-/// The cache is sharded with striped locks, so concurrent `Distance` calls
-/// from the parallel planner only serialize when they collide on a shard.
-/// Two threads racing on the same cold key may both consult the inner
-/// oracle; both obtain the same exact value, so results are unaffected.
-class CachedOracle : public DistanceOracle {
+/// Deviation from the paper (Sec. 6.1): there is no LRU cache in front of
+/// the labels. Queries on contraction-hierarchy-ordered labels are cheap
+/// enough that a shared cache's upkeep (a striped lock, a hash probe and a
+/// list splice per lookup, ~1M entries per replay) cost more end to end
+/// than the queries it saved; README "Distance oracle" has the
+/// measurement. Results cannot differ: label
+/// distances are symmetric bit for bit and BatchQuery cells match point
+/// queries, so a cached value was always the value the inner oracle gives.
+class BilledOracle : public DistanceOracle {
  public:
   /// `inner` is borrowed, not owned: oracles (hub labels in particular)
   /// are built once and shared across many simulation runs.
-  CachedOracle(DistanceOracle* inner, std::size_t capacity)
-      : inner_(inner), cache_(capacity) {}
+  explicit BilledOracle(DistanceOracle* inner) : inner_(inner) {}
 
   double Distance(VertexId u, VertexId v) override;
   std::vector<VertexId> Path(VertexId u, VertexId v) override;
 
-  /// Batched sweep through the cache: hits are served from the cache, the
-  /// misses of each target column are forwarded to the inner oracle as one
-  /// (deduplicated) BatchQuery, and results are inserted back. Cell values
-  /// and billed query counts are identical to per-pair Distance calls; only
-  /// the cache's LRU touch order differs.
+  /// Bills sources x targets and forwards the block to the inner oracle as
+  /// one BatchQuery; s == t cells read 0, as the point query does.
   void BatchQuery(const std::vector<VertexId>& sources,
                   const std::vector<VertexId>& targets,
                   std::vector<double>* out) override;
@@ -130,12 +128,7 @@ class CachedOracle : public DistanceOracle {
     return inner_->QuantizationErrorBound();
   }
 
-  std::int64_t cache_hits() const { return cache_.hits(); }
-  std::int64_t cache_misses() const { return cache_.misses(); }
-  DistanceOracle* inner() { return inner_; }
-
-  /// Registers pull-model gauges (oracle.queries / oracle.cache_hits /
-  /// oracle.cache_misses / oracle.cache_hit_rate) on `reg`. The oracle
+  /// Registers the pull-model gauge oracle.queries on `reg`. The oracle
   /// must outlive the registry's last Snapshot (or the gauges must be
   /// frozen first). No-op when reg is null or disabled.
   void RegisterMetrics(obs::Registry* reg);
@@ -150,7 +143,7 @@ class CachedOracle : public DistanceOracle {
   /// stage bills each request's queries to a private sink: a speculation
   /// HIT re-bills them via AddBilled (the queries a non-speculative run
   /// would have made), a MISS drops them — so the reported query count is
-  /// depth- and timing-independent. Cache contents still warm either way.
+  /// depth- and timing-independent.
   class BillingScope {
    public:
     explicit BillingScope(std::int64_t* sink) : prev_(bill_sink_) {
@@ -185,16 +178,7 @@ class CachedOracle : public DistanceOracle {
  private:
   static thread_local std::int64_t* bill_sink_;
 
-  struct KeyHash {
-    std::size_t operator()(const std::pair<VertexId, VertexId>& k) const {
-      return std::hash<std::int64_t>()(
-          (static_cast<std::int64_t>(k.first) << 32) |
-          static_cast<std::uint32_t>(k.second));
-    }
-  };
-
   DistanceOracle* inner_;
-  ShardedLruCache<std::pair<VertexId, VertexId>, double, KeyHash> cache_;
   FaultInjector* faults_ = nullptr;
 };
 

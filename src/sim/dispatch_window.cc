@@ -31,10 +31,10 @@ DispatchWindowPlanner::DispatchWindowPlanner(PlanningContext* ctx,
   shards_->set_faults(ctx_->faults());
   commit_heads_ = std::vector<std::atomic<std::size_t>>(
       static_cast<std::size_t>(shards_->num_shards()));
-  // Speculative query billing needs the cache layer; without it the
+  // Speculative query billing needs the billing layer; without it the
   // speculative path still produces identical assignments, only the
   // reported query count would include abandoned speculative work.
-  billing_ = dynamic_cast<CachedOracle*>(ctx_->oracle());
+  billing_ = dynamic_cast<BilledOracle*>(ctx_->oracle());
   // Instrument wiring: instruments observe wall times and event counts
   // only — never anything planning reads — so the determinism contract
   // (bit-identical results with or without observability) holds.
@@ -414,7 +414,7 @@ void DispatchWindowPlanner::PlanSpeculative(
     const SpecCapture capture{&p.spec_versions};
     EvalMemo* const memo = config_.use_eval_memo ? &p.memo : nullptr;
     if (billing_ != nullptr) {
-      const CachedOracle::BillingScope scope(&p.spec_queries);
+      const BilledOracle::BillingScope scope(&p.spec_queries);
       p.planned = PlanSequential(*p.r, p.candidates, &proposals[b], &p.evals,
                                  &capture, memo);
     } else {

@@ -304,10 +304,10 @@ class DispatchWindowPlanner : public PipelinedBatchPlanner {
   ThreadPool* pool_;
   std::unique_ptr<GridIndex> index_;
   std::unique_ptr<FleetShards> shards_;
-  /// The simulation's oracle when it is a CachedOracle (speculative query
+  /// The simulation's oracle when it is a BilledOracle (speculative query
   /// billing); nullptr otherwise — speculation then bills globally, which
   /// only perturbs the query count, never results.
-  CachedOracle* billing_ = nullptr;
+  BilledOracle* billing_ = nullptr;
   int depth_ = 2;           // slot-ring size
   bool pipelined_ = false;  // ConfigurePipeline ran (split driving mode)
   /// Commit-stage pool: the planning thread owns pool_, so the commit

@@ -170,7 +170,7 @@ bool Simulation::request_served(RequestId id) const {
 }
 
 SimReport Simulation::Run(const PlannerFactory& factory) {
-  cached_ = std::make_unique<CachedOracle>(oracle_, options_.cache_capacity);
+  billed_ = std::make_unique<BilledOracle>(oracle_);
   pool_ = options_.num_threads > 1
               ? std::make_unique<ThreadPool>(options_.num_threads)
               : nullptr;
@@ -180,15 +180,15 @@ SimReport Simulation::Run(const PlannerFactory& factory) {
   faults_ = options_.faults.enabled
                 ? std::make_unique<FaultInjector>(options_.faults)
                 : nullptr;
-  PlanningContext ctx(graph_, cached_.get(), requests_);
+  PlanningContext ctx(graph_, billed_.get(), requests_);
   ctx.set_thread_pool(pool_.get());
   ctx.set_metrics(registry_.get());
   ctx.set_tracer(tracer_.get());
   ctx.set_faults(faults_.get());
   // Components fetch instruments up front; planner construction (below)
   // registers the planner- and shard-side ones through the context.
-  cached_->RegisterMetrics(registry_.get());
-  cached_->set_faults(faults_.get());
+  billed_->RegisterMetrics(registry_.get());
+  billed_->set_faults(faults_.get());
   if (pool_ != nullptr) {
     pool_->RegisterMetrics(registry_.get());
     pool_->set_faults(faults_.get());
@@ -278,8 +278,8 @@ SimReport Simulation::Run(const PlannerFactory& factory) {
   report.p95_response_ms = response_ms.Percentile(95);
   report.p99_response_ms = response_ms.Percentile(99);
   report.max_response_ms = response_ms.max();
-  report.distance_queries = cached_->query_count();
-  report.oracle_quant_error_bound = cached_->QuantizationErrorBound();
+  report.distance_queries = billed_->query_count();
+  report.oracle_quant_error_bound = billed_->QuantizationErrorBound();
   report.index_memory_bytes = planner->index_memory_bytes();
   report.wall_seconds = SecondsSince(t0);
   registry_->StopPeriodicExport();

@@ -25,8 +25,6 @@ struct SimOptions {
   /// Abort when cumulative planning wall time exceeds this (seconds);
   /// mirrors the paper's 10/20-hour kill switch under which kinetic DNFs.
   double wall_limit_seconds = 1e18;
-  /// Shared LRU cache capacity for distance queries (0 disables).
-  std::size_t cache_capacity = 1 << 20;
   /// Threads available to planners that use the parallel dispatch engine
   /// (ParallelGreedyDpPlanner, DispatchWindowPlanner). 1 keeps the run
   /// fully sequential; above 1 the simulation owns a ThreadPool of this
@@ -184,7 +182,7 @@ class Simulation {
   std::vector<Worker> workers_;
   const std::vector<Request>* requests_;
   SimOptions options_;
-  std::unique_ptr<CachedOracle> cached_;
+  std::unique_ptr<BilledOracle> billed_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<Fleet> fleet_;
   // Observability of the current run (recreated per Run): the metrics
@@ -193,7 +191,7 @@ class Simulation {
   std::unique_ptr<obs::Registry> registry_;
   std::unique_ptr<obs::TraceRecorder> tracer_;
   /// Fault injector of the run (null unless SimOptions::faults.enabled) —
-  /// wired through PlanningContext / CachedOracle / ThreadPool like the
+  /// wired through PlanningContext / BilledOracle / ThreadPool like the
   /// obs instruments.
   std::unique_ptr<FaultInjector> faults_;
   std::vector<bool> served_;

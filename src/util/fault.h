@@ -14,7 +14,7 @@ namespace urpsm {
 enum class FaultSite : int {
   kIngestStall = 0,   // short producer pause before an arrival is offered
   kIngestBurst = 1,   // long producer pause -> a release backlog bursts out
-  kOracleDelay = 2,   // distance-query latency in CachedOracle::Distance
+  kOracleDelay = 2,   // distance-query latency in BilledOracle::Distance
   kShardLockHold = 3, // commit stage holds a shard's epoch lock longer
   kPoolTaskDelay = 4, // thread-pool chunk execution delay
   kDrainTrigger = 5,  // mid-run graceful drain at a seed-derived instant

@@ -12,11 +12,12 @@ namespace urpsm {
 
 /// A fixed-capacity least-recently-used cache.
 ///
-/// The paper (Sec. 6.1) maintains an LRU cache for shortest distance and
-/// path queries shared by all compared algorithms; this is that cache.
-/// `Get` promotes the entry to most-recently-used. Not thread-safe on its
-/// own; concurrent callers go through ShardedLruCache, which stripes
-/// instances of this type behind per-shard locks.
+/// The paper (Sec. 6.1) puts an LRU cache in front of its distance
+/// queries. This repo's distance path no longer uses one: a hub-label
+/// query in contraction-hierarchy order is cheaper than a cache hit (see
+/// `BilledOracle` in src/shortest/oracle.h). The type stays as a
+/// general-purpose utility with its own tests. `Get` promotes the entry
+/// to most-recently-used. Not thread-safe.
 template <typename K, typename V, typename Hash = std::hash<K>>
 class LruCache {
  public:

@@ -1,7 +1,10 @@
 #include "src/workload/io.h"
 
+#include <cmath>
 #include <fstream>
-#include <sstream>
+#include <limits>
+#include <string>
+#include <vector>
 
 namespace urpsm {
 
@@ -34,6 +37,18 @@ bool SaveInstance(const Instance& instance, const std::string& path) {
   return static_cast<bool>(out);
 }
 
+namespace {
+
+// Counts come from the file, so they bound loops but never size an
+// allocation up front: a bogus count fails at end of input instead of
+// throwing bad_alloc.
+bool ReadCount(std::istream& in, const char* expected_tag, std::size_t* n) {
+  std::string tag;
+  return static_cast<bool>(in >> tag >> *n) && tag == expected_tag;
+}
+
+}  // namespace
+
 bool LoadInstance(const std::string& path, Instance* result) {
   std::ifstream in(path);
   if (!in) return false;
@@ -46,43 +61,56 @@ bool LoadInstance(const std::string& path, Instance* result) {
   std::string tag;
   if (!(in >> tag >> inst.name) || tag != "name") return false;
 
-  std::size_t n = 0;
-  if (!(in >> tag >> n) || tag != "vertices") return false;
-  std::vector<Point> coords(n);
-  for (Point& p : coords) {
-    if (!(in >> p.x >> p.y)) return false;
+  std::size_t count = 0;
+  if (!ReadCount(in, "vertices", &count) ||
+      count > static_cast<std::size_t>(std::numeric_limits<VertexId>::max())) {
+    return false;
   }
+  std::vector<Point> coords;
+  for (std::size_t i = 0; i < count; ++i) {
+    Point p;
+    if (!(in >> p.x >> p.y)) return false;
+    coords.push_back(p);
+  }
+  const auto n = static_cast<VertexId>(coords.size());
+  const auto in_range = [n](VertexId v) { return v >= 0 && v < n; };
 
-  std::size_t m = 0;
-  if (!(in >> tag >> m) || tag != "edges") return false;
-  std::vector<EdgeSpec> edges(m);
-  for (EdgeSpec& e : edges) {
+  if (!ReadCount(in, "edges", &count)) return false;
+  std::vector<EdgeSpec> edges;
+  for (std::size_t i = 0; i < count; ++i) {
+    EdgeSpec e;
     int cls = 0;
     if (!(in >> e.u >> e.v >> e.length_km >> cls)) return false;
+    if (!in_range(e.u) || !in_range(e.v)) return false;
+    if (!std::isfinite(e.length_km) || e.length_km < 0.0) return false;
     if (cls < 0 || cls > 3) return false;
     e.cls = static_cast<RoadClass>(cls);
+    edges.push_back(e);
   }
   inst.graph = RoadNetwork::FromEdges(std::move(coords), edges);
 
-  std::size_t k = 0;
-  if (!(in >> tag >> k) || tag != "workers") return false;
-  inst.workers.resize(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    Worker& w = inst.workers[i];
+  if (!ReadCount(in, "workers", &count)) return false;
+  for (std::size_t i = 0; i < count; ++i) {
+    Worker w;
     w.id = static_cast<WorkerId>(i);
     if (!(in >> w.initial_location >> w.capacity)) return false;
+    if (!in_range(w.initial_location) || w.capacity < 1) return false;
+    inst.workers.push_back(w);
   }
 
-  std::size_t q = 0;
-  if (!(in >> tag >> q) || tag != "requests") return false;
-  inst.requests.resize(q);
-  for (std::size_t i = 0; i < q; ++i) {
-    Request& r = inst.requests[i];
+  if (!ReadCount(in, "requests", &count)) return false;
+  for (std::size_t i = 0; i < count; ++i) {
+    Request r;
     r.id = static_cast<RequestId>(i);
     if (!(in >> r.origin >> r.destination >> r.release_time >> r.deadline >>
           r.penalty >> r.capacity)) {
       return false;
     }
+    if (!in_range(r.origin) || !in_range(r.destination) || r.capacity < 1) {
+      return false;
+    }
+    if (!(r.deadline >= r.release_time)) return false;  // NaN fails too
+    inst.requests.push_back(r);
   }
   *result = std::move(inst);
   return true;

@@ -25,7 +25,9 @@ namespace urpsm {
 bool SaveInstance(const Instance& instance, const std::string& path);
 
 /// Loads an instance; returns false (and leaves `out` untouched) on parse
-/// or I/O failure.
+/// or I/O failure, or when the content is invalid: a vertex id outside
+/// [0, n), an edge length that is negative or not finite, a worker or
+/// request capacity below 1, or a deadline before its release time.
 bool LoadInstance(const std::string& path, Instance* out);
 
 }  // namespace urpsm

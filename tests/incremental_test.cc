@@ -126,11 +126,11 @@ TEST(PipelineMemoTest, SingleWorkerConflictReplansOnlyThatWorker) {
   // so the replan re-evaluates exactly one worker and reuses the other
   // verbatim (a narrowed replan; zero full replans).
   TestEnv env(MakeGridGraph(8, 8, 0.8));
-  CachedOracle cached(env.oracle(), 1 << 16);
+  BilledOracle billed(env.oracle());
   std::vector<Worker> workers = {{0, 27, 4}, {1, 63, 4}};
   const Request r1 = env.AddRequest(28, 30, 0.0, 1e9, 1e9);
   const Request r2 = env.AddRequest(29, 31, 0.0, 1e9, 1e9);
-  PlanningContext ctx(&env.graph(), &cached, &env.requests());
+  PlanningContext ctx(&env.graph(), &billed, &env.requests());
 
   Fleet fleet(workers, &env.graph());
   DispatchWindowPlanner planner(&ctx, &fleet, PlannerConfig{},
@@ -161,10 +161,10 @@ TEST(PipelineMemoTest, SingleWorkerConflictReplansOnlyThatWorker) {
   // billed query counts (hits re-bill their recorded counts, so the
   // totals are memo-independent).
   TestEnv env2(MakeGridGraph(8, 8, 0.8));
-  CachedOracle cached2(env2.oracle(), 1 << 16);
+  BilledOracle billed2(env2.oracle());
   env2.AddRequest(28, 30, 0.0, 1e9, 1e9);
   env2.AddRequest(29, 31, 0.0, 1e9, 1e9);
-  PlanningContext ctx2(&env2.graph(), &cached2, &env2.requests());
+  PlanningContext ctx2(&env2.graph(), &billed2, &env2.requests());
   Fleet fleet2(workers, &env2.graph());
   PlannerConfig off;
   off.use_eval_memo = false;
@@ -174,7 +174,7 @@ TEST(PipelineMemoTest, SingleWorkerConflictReplansOnlyThatWorker) {
   for (const Request& r : env.requests()) {
     EXPECT_EQ(fleet.AssignedWorker(r.id), fleet2.AssignedWorker(r.id));
   }
-  EXPECT_EQ(cached.query_count(), cached2.query_count());
+  EXPECT_EQ(billed.query_count(), billed2.query_count());
 }
 
 // ------------------------------------ forced speculation, narrowed
@@ -225,9 +225,9 @@ TEST(PipelineMemoTest, ForcedSpeculationNarrowsReplansAndBillsIdentically) {
     std::vector<double> pickups;
   };
   const auto drive = [&](bool use_memo) {
-    CachedOracle cached(&labels, 1 << 18);
+    BilledOracle billed(&labels);
     Fleet fleet(workers, &graph);
-    PlanningContext ctx(&graph, &cached, &requests);
+    PlanningContext ctx(&graph, &billed, &requests);
     PlannerConfig config;
     config.use_eval_memo = use_memo;
     DispatchWindowPlanner planner(&ctx, &fleet, config, /*pool=*/nullptr);
@@ -246,7 +246,7 @@ TEST(PipelineMemoTest, ForcedSpeculationNarrowsReplansAndBillsIdentically) {
     fleet.FinishAll();
     DriveResult out;
     out.committed_distance = fleet.committed_distance();
-    out.queries = cached.query_count();
+    out.queries = billed.query_count();
     out.spec_misses = planner.speculation_misses();
     out.narrowed = planner.replans_narrowed();
     out.full = planner.replans_full();

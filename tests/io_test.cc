@@ -119,5 +119,78 @@ TEST_F(IoTest, LoadRejectsBadRoadClass) {
   EXPECT_FALSE(LoadInstance(path_, &out));
 }
 
+// A valid two-vertex instance whose sections can be swapped out one at a
+// time; each malformed case below differs from it in exactly one line.
+struct TinyInstance {
+  std::string vertices = "vertices 2\n0 0\n1 0";
+  std::string edge = "0 1 1.0 0";
+  std::string worker = "0 4";
+  std::string request = "0 1 0 10 1 1";
+
+  std::string Text() const {
+    return "urpsm-instance v1\nname x\n" + vertices + "\nedges 1\n" + edge +
+           "\nworkers 1\n" + worker + "\nrequests 1\n" + request + "\n";
+  }
+};
+
+TEST_F(IoTest, LoadAcceptsTinyInstance) {
+  std::ofstream(path_) << TinyInstance{}.Text();
+  Instance out;
+  ASSERT_TRUE(LoadInstance(path_, &out));
+  EXPECT_EQ(out.graph.num_vertices(), 2);
+  EXPECT_EQ(out.requests.size(), 1u);
+}
+
+TEST_F(IoTest, LoadRejectsEdgeEndpointOutOfRange) {
+  for (const char* edge : {"0 2 1.0 0", "-1 1 1.0 0"}) {
+    std::ofstream(path_) << TinyInstance{.edge = edge}.Text();
+    Instance out;
+    EXPECT_FALSE(LoadInstance(path_, &out)) << edge;
+  }
+}
+
+TEST_F(IoTest, LoadRejectsNegativeOrNonFiniteLength) {
+  for (const char* edge : {"0 1 -1.0 0", "0 1 1e999 0", "0 1 nan 0"}) {
+    std::ofstream(path_) << TinyInstance{.edge = edge}.Text();
+    Instance out;
+    EXPECT_FALSE(LoadInstance(path_, &out)) << edge;
+  }
+}
+
+TEST_F(IoTest, LoadRejectsHugeCountWithoutAllocating) {
+  std::ofstream(path_)
+      << TinyInstance{.vertices = "vertices 1000000000000000\n0 0"}.Text();
+  Instance out;
+  EXPECT_FALSE(LoadInstance(path_, &out));
+}
+
+TEST_F(IoTest, LoadRejectsWorkerLocationOutOfRange) {
+  std::ofstream(path_) << TinyInstance{.worker = "2 4"}.Text();
+  Instance out;
+  EXPECT_FALSE(LoadInstance(path_, &out));
+}
+
+TEST_F(IoTest, LoadRejectsCapacityBelowOne) {
+  Instance out;
+  std::ofstream(path_) << TinyInstance{.worker = "0 0"}.Text();
+  EXPECT_FALSE(LoadInstance(path_, &out));
+  std::ofstream(path_) << TinyInstance{.request = "0 1 0 10 1 0"}.Text();
+  EXPECT_FALSE(LoadInstance(path_, &out));
+}
+
+TEST_F(IoTest, LoadRejectsRequestEndpointOutOfRange) {
+  for (const char* request : {"0 5 0 10 1 1", "-3 1 0 10 1 1"}) {
+    std::ofstream(path_) << TinyInstance{.request = request}.Text();
+    Instance out;
+    EXPECT_FALSE(LoadInstance(path_, &out)) << request;
+  }
+}
+
+TEST_F(IoTest, LoadRejectsDeadlineBeforeRelease) {
+  std::ofstream(path_) << TinyInstance{.request = "0 1 10 5 1 1"}.Text();
+  Instance out;
+  EXPECT_FALSE(LoadInstance(path_, &out));
+}
+
 }  // namespace
 }  // namespace urpsm

@@ -498,9 +498,9 @@ TEST(ObsTraceTest, PipelinedSmokeRunEmitsValidChromeTrace) {
   EXPECT_GE(rep.metrics.at("engine.windows"), 1.0);
   EXPECT_EQ(rep.metrics.at("ingest.total_pushed"),
             static_cast<double>(requests.size()));
-  const double hit_rate = rep.metrics.at("oracle.cache_hit_rate");
-  EXPECT_GE(hit_rate, 0.0);
-  EXPECT_LE(hit_rate, 1.0);
+  EXPECT_EQ(rep.metrics.at("oracle.queries"),
+            static_cast<double>(rep.distance_queries));
+  EXPECT_GT(rep.distance_queries, 0);
   EXPECT_EQ(rep.metrics.at("pool.threads"), 4.0);
   EXPECT_EQ(rep.metrics.count("shards.commit_blocking_waits"), 1u);
 
@@ -641,9 +641,9 @@ TEST(ObsSimReportTest, ZeroRequestRunHasFiniteRatios) {
   EXPECT_EQ(rep.avg_response_ms, 0.0);
   EXPECT_EQ(rep.p99_response_ms, 0.0);
   ExpectFiniteReport(rep);
-  // The oracle hit-rate callback gauge guards its 0/0 too.
-  ASSERT_EQ(rep.metrics.count("oracle.cache_hit_rate"), 1u);
-  EXPECT_EQ(rep.metrics.at("oracle.cache_hit_rate"), 0.0);
+  // The oracle's query gauge is registered and reads 0 before traffic.
+  ASSERT_EQ(rep.metrics.count("oracle.queries"), 1u);
+  EXPECT_EQ(rep.metrics.at("oracle.queries"), 0.0);
 }
 
 TEST(ObsSimReportTest, TimedOutPipelinedRunHasFiniteRatios) {

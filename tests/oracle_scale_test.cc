@@ -2,7 +2,7 @@
 // order (label size on a city graph, exactness against plain Dijkstra),
 // 32-bit quantized label distances (saturation/infinity semantics and the
 // proven error bound), the batched multi-source BatchQuery sweep through
-// HubLabelOracle / CachedOracle / GatherDistanceColumns, and thread-count
+// HubLabelOracle / BilledOracle / GatherDistanceColumns, and thread-count
 // identity of quantized runs.
 
 #include <cmath>
@@ -328,49 +328,93 @@ TEST(OracleBatchQueryTest, EmptySetsAreSafe) {
   EXPECT_TRUE(out.empty());
 }
 
-TEST(OracleBatchQueryTest, CachedOracleBatchMatchesAndBills) {
+TEST(OracleBatchQueryTest, BilledOracleBatchMatchesAndBills) {
   Rng grng(44);
   const RoadNetwork g = MakeRandomGeometricGraph(150, 11.0, 4, &grng);
   HubLabelOracle labels = HubLabelOracle::Build(g);
+  BilledOracle billed(&labels);
+  BilledOracle reference(&labels);
   Rng rng(21);
-  for (int round = 0; round < 2; ++round) {
-    CachedOracle cached(&labels, 4096);
-    CachedOracle reference(&labels, 4096);
-    for (int trial = 0; trial < 20; ++trial) {
-      const int ns = rng.UniformInt(1, 8);
-      const int nt = rng.UniformInt(1, 3);
-      std::vector<VertexId> sources, targets;
-      for (int i = 0; i < ns; ++i) {
-        sources.push_back(rng.UniformInt(0, g.num_vertices() - 1));
-      }
+  for (int trial = 0; trial < 40; ++trial) {
+    const int ns = rng.UniformInt(1, 8);
+    const int nt = rng.UniformInt(1, 3);
+    std::vector<VertexId> sources, targets;
+    for (int i = 0; i < ns; ++i) {
+      sources.push_back(rng.UniformInt(0, g.num_vertices() - 1));
+    }
+    for (int j = 0; j < nt; ++j) {
+      targets.push_back(rng.UniformInt(0, g.num_vertices() - 1));
+    }
+    if (trial % 2 == 0 && ns > 2) sources[2] = sources[0];  // duplicate
+    if (trial % 3 == 0) targets[0] = sources[0];            // s == t cell
+    std::vector<double> out;
+    billed.BatchQuery(sources, targets, &out);
+    for (int i = 0; i < ns; ++i) {
       for (int j = 0; j < nt; ++j) {
-        targets.push_back(rng.UniformInt(0, g.num_vertices() - 1));
+        EXPECT_EQ(out[static_cast<std::size_t>(i * nt + j)],
+                  reference.Distance(sources[static_cast<std::size_t>(i)],
+                                     targets[static_cast<std::size_t>(j)]));
       }
-      if (trial % 2 == 0 && ns > 2) sources[2] = sources[0];  // dup miss
-      std::vector<double> out;
-      cached.BatchQuery(sources, targets, &out);
-      for (int i = 0; i < ns; ++i) {
-        for (int j = 0; j < nt; ++j) {
-          EXPECT_EQ(out[static_cast<std::size_t>(i * nt + j)],
-                    reference.Distance(sources[static_cast<std::size_t>(i)],
-                                       targets[static_cast<std::size_t>(j)]));
-        }
+    }
+    // Billing parity: the batch bills every cell, like per-pair calls.
+    EXPECT_EQ(billed.query_count(), reference.query_count());
+  }
+}
+
+/// Inner oracle that counts BatchQuery calls and answers with a value
+/// that is nonzero even for u == v, so the decorator's self-distance
+/// short-circuit is observable.
+class CountingOracle : public DistanceOracle {
+ public:
+  double Distance(VertexId u, VertexId v) override {
+    ++query_count_;
+    return 1.0 + 0.25 * u + 1e-3 * v;
+  }
+  std::vector<VertexId> Path(VertexId, VertexId) override { return {}; }
+  void BatchQuery(const std::vector<VertexId>& sources,
+                  const std::vector<VertexId>& targets,
+                  std::vector<double>* out) override {
+    ++batch_calls;
+    DistanceOracle::BatchQuery(sources, targets, out);
+  }
+  int batch_calls = 0;
+};
+
+TEST(OracleBatchQueryTest, BilledOracleForwardsOneInnerBatch) {
+  CountingOracle inner;
+  BilledOracle billed(&inner);
+  const std::vector<VertexId> sources = {3, 7, 3, 9};
+  const std::vector<VertexId> targets = {7, 2, 3};
+  std::vector<double> out;
+  billed.BatchQuery(sources, targets, &out);
+  EXPECT_EQ(inner.batch_calls, 1);
+  EXPECT_EQ(billed.query_count(), 12);
+  billed.BatchQuery(targets, sources, &out);
+  EXPECT_EQ(inner.batch_calls, 2);
+  EXPECT_EQ(billed.query_count(), 24);
+
+  billed.BatchQuery(sources, targets, &out);
+  ASSERT_EQ(out.size(), 12u);
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    for (std::size_t j = 0; j < targets.size(); ++j) {
+      const double cell = out[i * targets.size() + j];
+      EXPECT_EQ(cell, billed.Distance(sources[i], targets[j]));
+      if (sources[i] == targets[j]) {
+        EXPECT_EQ(cell, 0.0);
       }
-      // Billing parity: the batch bills every cell, like per-pair calls.
-      EXPECT_EQ(cached.query_count(), reference.query_count());
     }
   }
 }
 
 TEST(OracleBatchQueryTest, GatherColumnsMatchReferenceFuzz) {
   // Fuzz-pin GatherDistanceColumns (batched sweep) against the original
-  // per-pair loop, over random routes and requests, through a CachedOracle
+  // per-pair loop, over random routes and requests, through a BilledOracle
   // on hub labels — values bit-identical AND the same billed query count.
   Rng grng(52);
   TestEnv env(MakeRandomGeometricGraph(120, 10.0, 4, &grng));
   HubLabelOracle labels = HubLabelOracle::Build(env.graph());
-  CachedOracle cached(&labels, 4096);
-  PlanningContext ctx(&env.graph(), &cached, &env.requests());
+  BilledOracle billed(&labels);
+  PlanningContext ctx(&env.graph(), &billed, &env.requests());
 
   Rng rng(67);
   Worker w;
@@ -385,12 +429,12 @@ TEST(OracleBatchQueryTest, GatherColumnsMatchReferenceFuzz) {
     const Request r = env.AddRequest(o, d, 0.0, 120.0);
     for (int max_pos = 0; max_pos <= route.size(); ++max_pos) {
       DistanceColumns got, want;
-      const std::int64_t before_got = cached.query_count();
+      const std::int64_t before_got = billed.query_count();
       GatherDistanceColumns(route, r, &ctx, &got, max_pos);
-      const std::int64_t got_queries = cached.query_count() - before_got;
+      const std::int64_t got_queries = billed.query_count() - before_got;
       GatherDistanceColumnsReference(route, r, &ctx, &want, max_pos);
       const std::int64_t want_queries =
-          cached.query_count() - before_got - got_queries;
+          billed.query_count() - before_got - got_queries;
       EXPECT_EQ(got_queries, want_queries);
       ASSERT_EQ(got.to_origin.size(), want.to_origin.size());
       for (std::size_t k = 0; k < want.to_origin.size(); ++k) {
@@ -405,8 +449,8 @@ TEST(OracleBatchQueryTest, MultiRouteGatherMatchesPerRoute) {
   Rng grng(58);
   TestEnv env(MakeRandomGeometricGraph(120, 10.0, 4, &grng));
   HubLabelOracle labels = HubLabelOracle::Build(env.graph());
-  CachedOracle cached(&labels, 4096);
-  PlanningContext ctx(&env.graph(), &cached, &env.requests());
+  BilledOracle billed(&labels);
+  PlanningContext ctx(&env.graph(), &billed, &env.requests());
 
   Rng rng(71);
   std::vector<Route> routes;
@@ -430,16 +474,16 @@ TEST(OracleBatchQueryTest, MultiRouteGatherMatchesPerRoute) {
     max_pos.push_back(route.size());
   }
   std::vector<DistanceColumns> multi;
-  const std::int64_t before = cached.query_count();
+  const std::int64_t before = billed.query_count();
   GatherDistanceColumnsMulti(route_ptrs, max_pos, r, &ctx, &multi);
-  const std::int64_t multi_queries = cached.query_count() - before;
+  const std::int64_t multi_queries = billed.query_count() - before;
 
   std::int64_t per_route_queries = 0;
   for (std::size_t c = 0; c < routes.size(); ++c) {
     DistanceColumns want;
-    const std::int64_t b = cached.query_count();
+    const std::int64_t b = billed.query_count();
     GatherDistanceColumns(routes[c], r, &ctx, &want, max_pos[c]);
-    per_route_queries += cached.query_count() - b;
+    per_route_queries += billed.query_count() - b;
     ASSERT_EQ(multi[c].to_origin.size(), want.to_origin.size());
     for (std::size_t k = 0; k < want.to_origin.size(); ++k) {
       EXPECT_EQ(multi[c].to_origin[k], want.to_origin[k]);

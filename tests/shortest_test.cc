@@ -139,36 +139,25 @@ TEST(HubLabelsTest, PathFallbackIsExact) {
   EXPECT_EQ(path.back(), 15);
 }
 
-TEST(CachedOracleTest, CountsQueriesAndCachesSymmetrically) {
+TEST(BilledOracleTest, BillsEveryCallAndForwardsAllButSelf) {
   const RoadNetwork g = MakeGridGraph(6, 6, 1.0);
   DijkstraOracle inner(&g);
-  CachedOracle cached(&inner, 128);
-  const double d1 = cached.Distance(0, 35);
-  const double d2 = cached.Distance(35, 0);  // symmetric key -> cache hit
+  BilledOracle billed(&inner);
+  const double d1 = billed.Distance(0, 35);
+  const double d2 = billed.Distance(35, 0);
   EXPECT_DOUBLE_EQ(d1, d2);
-  EXPECT_EQ(cached.query_count(), 2);
-  EXPECT_EQ(inner.query_count(), 1);
-  EXPECT_EQ(cached.cache_hits(), 1);
+  EXPECT_NEAR(d1, DijkstraDistance(g, 0, 35), 1e-9);
+  EXPECT_DOUBLE_EQ(billed.Distance(7, 7), 0.0);
+  EXPECT_EQ(billed.query_count(), 3);
+  EXPECT_EQ(inner.query_count(), 2);  // u == v never reaches the inner oracle
 }
 
-TEST(CachedOracleTest, SelfDistanceSkipsInner) {
+TEST(BilledOracleTest, SelfDistanceSkipsInner) {
   const RoadNetwork g = MakeGridGraph(3, 3, 1.0);
   DijkstraOracle inner(&g);
-  CachedOracle cached(&inner, 16);
-  EXPECT_DOUBLE_EQ(cached.Distance(4, 4), 0.0);
+  BilledOracle billed(&inner);
+  EXPECT_DOUBLE_EQ(billed.Distance(4, 4), 0.0);
   EXPECT_EQ(inner.query_count(), 0);
-}
-
-TEST(CachedOracleTest, EvictionStillCorrect) {
-  const RoadNetwork g = MakeGridGraph(6, 6, 1.0);
-  DijkstraOracle inner(&g);
-  CachedOracle cached(&inner, 2);  // tiny cache, heavy eviction
-  Rng rng(31);
-  for (int trial = 0; trial < 100; ++trial) {
-    const VertexId s = rng.UniformInt(0, g.num_vertices() - 1);
-    const VertexId t = rng.UniformInt(0, g.num_vertices() - 1);
-    EXPECT_NEAR(cached.Distance(s, t), DijkstraDistance(g, s, t), 1e-9);
-  }
 }
 
 }  // namespace
