@@ -1,8 +1,7 @@
 // Pipelined dispatch-engine trajectory bench: the dispatch-window engine
-// swept over window length x thread count x pipeline on/off x slot-ring
-// depth, recording throughput, latency percentiles and the pipeline
-// stage/occupancy counters (queue depth, backpressure, plan/commit stage
-// time, speculation hits/misses).
+// swept over window length x thread count x pipeline on/off, recording
+// throughput, latency percentiles and the pipeline stage/occupancy
+// counters (queue depth, backpressure, plan/commit stage time).
 //
 // Writes BENCH_pipeline.json (one JSON object per line, the shared
 // BENCH_JSON schema — every line carries hw_concurrency, num_threads,
@@ -11,7 +10,7 @@
 // build tree (BENCH_smoke_pipeline.json) so the CTest smoke entry can
 // never corrupt the full-run trajectory. Determinism gates: for every
 // (window, mode) the deterministic report fields must be bit-identical
-// across thread counts AND ring depths, and the pipelined runs must be
+// across thread counts, and the pipelined runs must be
 // ingest-queue-capacity independent.
 //
 // Overload axis: arrival-rate multipliers {1, 2, 4} compress release
@@ -22,26 +21,11 @@
 // the shed/rejected/dnf accounting must be bit-identical across thread
 // counts, and CheckAccounting must pass on every recorded report.
 //
-// Speculation-conflict axis: a scarce fleet under compressed arrivals at
-// ring depth 4 makes consecutive windows contend for the same few
-// workers, so speculative scans are invalidated at commit time and the
-// replan path runs hot. The axis records each run's memo counters
-// (memo_hits/memo_misses/memo_saved_queries, replans_narrowed/
-// replans_full) and the replan wall time (collect_metrics snapshots the
-// engine.spec.replan_ms / engine.commit.replan_ms histograms) with the
-// eval memo off ("before") and on ("after"). Gates: the memoized runs
-// must reproduce the fresh runs bit-identically — including
-// distance_queries, i.e. a memo hit re-bills exactly the queries a fresh
-// evaluation would issue — the memo-off runs must record zero memo
-// traffic, and the memo-on runs must actually exercise the memo
-// (hit + miss > 0, the wiring tripwire CI's bench-smoke gate relies on).
-//
 // Note: thread counts beyond std::thread::hardware_concurrency (1 in the
 // usual CI container — see the hw_concurrency field) oversubscribe and
 // mainly validate determinism, not speedup; the same goes for the
 // ingest/plan/commit thread overlap itself.
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdio>
 #include <string>
@@ -120,7 +104,6 @@ int main(int argc, char** argv) {
     params.insert(params.end(), extra.begin(), extra.end());
     if (pipeline) {
       const PipelineStats& ps = rep.pipeline;
-      params.emplace_back("depth", std::to_string(ps.depth));
       params.emplace_back("occupancy", Fmt(ps.occupancy));
       params.emplace_back("max_queue_depth",
                           std::to_string(ps.max_queue_depth));
@@ -129,10 +112,6 @@ int main(int argc, char** argv) {
       params.emplace_back("windows", std::to_string(ps.windows));
       params.emplace_back("plan_ms", Fmt(ps.plan_ms));
       params.emplace_back("commit_ms", Fmt(ps.commit_ms));
-      params.emplace_back("speculation_hits",
-                          std::to_string(ps.speculation_hits));
-      params.emplace_back("speculation_misses",
-                          std::to_string(ps.speculation_misses));
     }
     if (smoke) params.emplace_back("smoke", "1");
     if (rep.timed_out) params.emplace_back("timed_out", "1");
@@ -149,28 +128,17 @@ int main(int argc, char** argv) {
       smoke ? std::vector<double>{6.0} : std::vector<double>{2.0, 6.0, 15.0};
   const std::vector<int> thread_counts =
       smoke ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4, 8};
-  // The depth axis: the classic double buffer at the full thread sweep,
-  // deeper (speculating) rings at the sweep's endpoints — enough to gate
-  // depth-independence without tripling the bench's wall time.
-  std::vector<std::pair<int, int>> pipe_combos;  // (depth, threads)
-  for (int threads : thread_counts) pipe_combos.emplace_back(2, threads);
-  for (int depth : smoke ? std::vector<int>{4} : std::vector<int>{3, 4}) {
-    pipe_combos.emplace_back(depth, thread_counts.front());
-    pipe_combos.emplace_back(depth, thread_counts.back());
-  }
 
-  TablePrinter t({"window (s)", "pipeline", "depth", "threads", "wall (s)",
-                  "req/s", "occupancy", "unified cost", "served",
-                  "identical"});
+  TablePrinter t({"window (s)", "pipeline", "threads", "wall (s)", "req/s",
+                  "occupancy", "unified cost", "served", "identical"});
   bool all_identical = true;
   bool any_compared = false;
-  const auto run_one = [&](double window_s, bool pipeline, int depth,
-                           int threads, SimReport* ref, bool* have_ref) {
+  const auto run_one = [&](double window_s, bool pipeline, int threads,
+                           SimReport* ref, bool* have_ref) {
     SimOptions options = base_options;
     options.num_threads = threads;
     options.batch_window_s = window_s;
     options.pipeline = pipeline;
-    options.pipeline_depth = depth;
     Simulation sim(&city.graph, city.labels.get(), workers, &city.requests,
                    options);
     const SimReport rep = sim.Run(MakeDispatchWindowFactory({}));
@@ -187,7 +155,6 @@ int main(int argc, char** argv) {
     any_compared = any_compared || comparable;
     all_identical = all_identical && (identical || !comparable);
     t.AddRow({Fmt(window_s), pipeline ? "on" : "off",
-              pipeline ? std::to_string(depth) : std::string("-"),
               std::to_string(threads), TablePrinter::Num(rep.wall_seconds, 2),
               TablePrinter::Num(rps, 1),
               pipeline ? TablePrinter::Num(rep.pipeline.occupancy, 2)
@@ -197,18 +164,18 @@ int main(int argc, char** argv) {
               !comparable ? "DNF" : identical ? "YES" : "NO"});
   };
   for (double window_s : windows) {
-    {  // lock-step windowed loop: thread-count identity only
+    {  // lock-step windowed loop: thread-count identity
       SimReport ref;
       bool have_ref = false;
       for (int threads : thread_counts) {
-        run_one(window_s, /*pipeline=*/false, 2, threads, &ref, &have_ref);
+        run_one(window_s, /*pipeline=*/false, threads, &ref, &have_ref);
       }
     }
-    // Pipelined: thread-count AND ring-depth identity against one ref.
+    // Pipelined: thread-count identity against one ref.
     SimReport ref;
     bool have_ref = false;
-    for (const auto& [depth, threads] : pipe_combos) {
-      run_one(window_s, /*pipeline=*/true, depth, threads, &ref, &have_ref);
+    for (int threads : thread_counts) {
+      run_one(window_s, /*pipeline=*/true, threads, &ref, &have_ref);
     }
     // Queue-capacity independence gate for the pipelined runs: a tiny
     // queue (heavy backpressure) must not change any result.
@@ -314,98 +281,6 @@ int main(int argc, char** argv) {
   std::printf("=== Overload (window %gs, admit budget %d) ===\n%s\n",
               overload_window_s, overload_budget, ot.ToString().c_str());
 
-  // ---- Speculation-conflict axis: incremental replanning before/after ----
-  bool memo_gate_ok = true;
-  {
-    const double conflict_window_s = 6.0;
-    const double conflict_mult = 4.0;
-    // Scarce fleet: few enough workers that consecutive windows keep
-    // proposing insertions into the same routes, forcing commit-time
-    // speculation conflicts (the workload the eval memo exists for).
-    const std::size_t conflict_workers = smoke ? 6 : 12;
-    const std::vector<Worker> scarce(
-        workers.begin(),
-        workers.begin() + std::min(conflict_workers, workers.size()));
-    std::vector<Request> compressed = city.requests;
-    for (Request& r : compressed) {
-      const double gap = r.deadline - r.release_time;
-      r.release_time /= conflict_mult;
-      r.deadline = r.release_time + gap;
-    }
-    TablePrinter st({"memo", "threads", "wall (s)", "spec misses",
-                     "memo hits", "memo misses", "narrowed", "full",
-                     "replan (ms)", "identical"});
-    SimReport ref;
-    bool have_ref = false;
-    for (const bool memo : {false, true}) {
-      for (int threads : {thread_counts.front(), thread_counts.back()}) {
-        SimOptions options = base_options;
-        options.num_threads = threads;
-        options.batch_window_s = conflict_window_s;
-        options.pipeline = true;
-        options.pipeline_depth = 4;
-        options.collect_metrics = true;
-        PlannerConfig cfg;
-        cfg.use_eval_memo = memo;
-        Simulation sim(&city.graph, city.labels.get(), scarce, &compressed,
-                       options);
-        const SimReport rep = sim.Run(MakeDispatchWindowFactory(cfg));
-        const PipelineStats& ps = rep.pipeline;
-        const auto metric = [&](const char* key) {
-          const auto it = rep.metrics.find(key);
-          return it == rep.metrics.end() ? 0.0 : it->second;
-        };
-        const double replan_ms = metric("engine.spec.replan_ms.sum") +
-                                 metric("engine.commit.replan_ms.sum");
-        record(rep, conflict_window_s, /*pipeline=*/true,
-               {{"axis", "speculation_conflict"},
-                {"arrival_mult", Fmt(conflict_mult)},
-                {"memo", memo ? "1" : "0"},
-                {"memo_hits", std::to_string(ps.memo_hits)},
-                {"memo_misses", std::to_string(ps.memo_misses)},
-                {"memo_saved_queries",
-                 std::to_string(ps.memo_saved_queries)},
-                {"replans_narrowed", std::to_string(ps.replans_narrowed)},
-                {"replans_full", std::to_string(ps.replans_full)},
-                {"replan_ms", Fmt(replan_ms)}});
-        if (!have_ref) {
-          ref = rep;
-          have_ref = true;
-        }
-        const bool comparable = !rep.timed_out && !ref.timed_out;
-        const bool identical = comparable && SameResults(rep, ref);
-        any_compared = any_compared || comparable;
-        all_identical = all_identical && (identical || !comparable);
-        if (!memo && ps.memo_hits + ps.memo_misses != 0) {
-          memo_gate_ok = false;
-          std::printf("FAIL: memo-off run recorded memo traffic "
-                      "(hits=%lld misses=%lld)\n",
-                      static_cast<long long>(ps.memo_hits),
-                      static_cast<long long>(ps.memo_misses));
-        }
-        if (memo && !rep.timed_out && ps.memo_hits + ps.memo_misses == 0) {
-          memo_gate_ok = false;
-          std::printf("FAIL: memo-on pipelined run recorded ZERO memo "
-                      "traffic (memo.hit + memo.miss == 0) — the eval "
-                      "memo is unwired\n");
-        }
-        st.AddRow({memo ? "on" : "off", std::to_string(threads),
-                   TablePrinter::Num(rep.wall_seconds, 2),
-                   std::to_string(ps.speculation_misses),
-                   std::to_string(ps.memo_hits),
-                   std::to_string(ps.memo_misses),
-                   std::to_string(ps.replans_narrowed),
-                   std::to_string(ps.replans_full),
-                   TablePrinter::Num(replan_ms, 3),
-                   !comparable ? "DNF" : identical ? "YES" : "NO"});
-      }
-    }
-    std::printf("=== Speculation conflict (window %gs, mult %g, depth 4, "
-                "%zu workers) ===\n%s\n",
-                conflict_window_s, conflict_mult, scarce.size(),
-                st.ToString().c_str());
-  }
-
   WriteTrajectory("pipeline", smoke, lines);
 
   if (!accounting_ok) {
@@ -414,12 +289,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!all_identical) {
-    std::printf("FAIL: pipeline results diverged (across thread counts, "
-                "ring depths or ingest-queue capacities)\n");
-    return 1;
-  }
-  if (!memo_gate_ok) {
-    std::printf("FAIL: speculation_conflict memo gate violated (see above)\n");
+    std::printf("FAIL: pipeline results diverged (across thread counts "
+                "or ingest-queue capacities)\n");
     return 1;
   }
   if (!any_compared) {
@@ -428,6 +299,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("windows thread-count independent AND pipelined runs "
-              "depth- and capacity-independent: YES\n");
+              "capacity-independent: YES\n");
   return 0;
 }

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <utility>
 #include <vector>
 
 #include "src/geo/point.h"
@@ -30,7 +29,7 @@ class Registry;
 ///
 /// The tiles are contiguous — unlike a scattered cells-modulo-shards
 /// mapping — so each shard covers one bounded rectangle of the map. That
-/// is what makes the deep pipeline's displacement gate non-degenerate: a
+/// is what makes the pipeline's displacement gate non-degenerate: a
 /// request's candidate workers can only come from shards whose tile lies
 /// within its candidate radius plus a worker-displacement bound, so its
 /// filtering can start as soon as THOSE shards advanced instead of
@@ -39,8 +38,8 @@ class Registry;
 ///
 /// Worker mutations are serialized on a mutex *stripe* keyed by worker id
 /// (mutex_of) — deliberately independent of the tile assignment, so a
-/// Rebuild on the commit thread can never re-home a worker's lock while a
-/// speculative planner holds it.
+/// Rebuild can never re-home a worker's lock while another thread holds
+/// it.
 ///
 /// The shard count and region size are structural constants of the run:
 /// they never depend on the thread count, so the task decomposition (and
@@ -112,11 +111,6 @@ class FleetShards {
   /// Blocks until shard `s` has been released by window `epoch`'s commit
   /// stage (no-op when already released or epoch == 0).
   void WaitCommitted(int s, std::uint64_t epoch) const;
-  /// Non-blocking probe of WaitCommitted's condition.
-  bool TryCommitted(int s, std::uint64_t epoch) const;
-  /// Whether EVERY shard has been released by window `epoch` — the deep
-  /// pipeline's exact-vs-speculative probe (one lock, no waiting).
-  bool AllCommittedAtLeast(std::uint64_t epoch) const;
   /// Marks shard `s` as released by window `epoch`. Monotone: a smaller
   /// epoch than the current mark is ignored.
   void MarkCommitted(int s, std::uint64_t epoch);
@@ -124,34 +118,6 @@ class FleetShards {
   void MarkAllCommitted(std::uint64_t epoch);
   /// Last epoch shard `s` was released by (locked read; for tests).
   std::uint64_t CommittedEpoch(int s) const;
-  /// Minimum committed-epoch mark across all shards: every commit stage
-  /// with a smaller-or-equal epoch has fully retired, so all of its fleet
-  /// mutations happened-before this call returns (the marks are written
-  /// under the same mutex). The speculative planner stamps this as its
-  /// scan's dirty-set baseline.
-  std::uint64_t MinCommittedEpoch() const;
-
-  // ---- Commit dirty-sets (the incremental-planning propagation channel).
-  //
-  // The commit stage is the fleet's only mutator while windows are in
-  // flight; it logs every worker it mutates — proposal applies, conflict
-  // replans, and the validation stage's own advance/touch version bumps —
-  // tagged with the committing window's epoch. A speculative slot records
-  // MinCommittedEpoch() when its scan starts; at validation it collects
-  // the workers dirtied since that baseline, which is a proven superset
-  // of "routes that can have changed under the scan". Requests none of
-  // whose candidates are in the set skip the per-candidate version
-  // comparison entirely; the rest replan narrowly through their EvalMemo.
-
-  /// Logs worker `w` as mutated by window `epoch`'s commit stage. Safe to
-  /// call concurrently from parallel commit tasks.
-  void RecordDirty(std::uint64_t epoch, WorkerId w);
-  /// Appends every worker logged with an epoch tag > `base` to `out`
-  /// (cleared first; may contain duplicates).
-  void CollectDirtySince(std::uint64_t base, std::vector<WorkerId>* out) const;
-  /// Drops log entries tagged <= `epoch` — callers pass the oldest epoch
-  /// any in-flight speculative slot can still use as a baseline.
-  void PruneDirtyBefore(std::uint64_t epoch);
 
   /// Hooks the per-shard commit-lock wait blind spot: WaitCommitted calls
   /// that actually block record their wall wait on the
@@ -190,12 +156,6 @@ class FleetShards {
   mutable std::mutex epoch_mu_;
   mutable std::condition_variable epoch_cv_;
   std::vector<std::uint64_t> committed_epoch_;
-
-  // Dirty log: (epoch tag, worker) pairs behind its own mutex — appends
-  // happen per applied proposal and per advance-stage version bump, far
-  // off the per-candidate hot path.
-  mutable std::mutex dirty_mu_;
-  std::vector<std::pair<std::uint64_t, WorkerId>> dirty_log_;
 
   // Borrowed instruments (null until RegisterMetrics); WaitCommitted is
   // const, so it observes through the pointers without mutating them.

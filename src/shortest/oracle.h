@@ -96,10 +96,9 @@ class DijkstraOracle : public DistanceOracle {
   const RoadNetwork* graph_;
 };
 
-/// Per-run decorator over the shared oracle: bills every call (to this
-/// oracle's counter or to the thread's BillingScope sink), short-circuits
-/// u == v to 0, and hosts the kOracleDelay fault site. Everything else
-/// forwards to the inner oracle.
+/// Per-run decorator over the shared oracle: bills every call to this
+/// oracle's counter, short-circuits u == v to 0, and hosts the
+/// kOracleDelay fault site. Everything else forwards to the inner oracle.
 ///
 /// Deviation from the paper (Sec. 6.1): there is no LRU cache in front of
 /// the labels. Queries on contraction-hierarchy-ordered labels are cheap
@@ -138,46 +137,7 @@ class BilledOracle : public DistanceOracle {
   /// default) costs one branch per call.
   void set_faults(FaultInjector* faults) { faults_ = faults; }
 
-  /// Redirects this thread's Distance billing away from query_count_ and
-  /// into `*sink` for the scope's lifetime. The speculative planning
-  /// stage bills each request's queries to a private sink: a speculation
-  /// HIT re-bills them via AddBilled (the queries a non-speculative run
-  /// would have made), a MISS drops them — so the reported query count is
-  /// depth- and timing-independent.
-  class BillingScope {
-   public:
-    explicit BillingScope(std::int64_t* sink) : prev_(bill_sink_) {
-      bill_sink_ = sink;
-    }
-    ~BillingScope() { bill_sink_ = prev_; }
-    BillingScope(const BillingScope&) = delete;
-    BillingScope& operator=(const BillingScope&) = delete;
-
-   private:
-    std::int64_t* prev_;
-  };
-
-  /// Adds `n` sink-billed queries back onto the global counter.
-  void AddBilled(std::int64_t n) {
-    query_count_.fetch_add(n, std::memory_order_relaxed);
-  }
-
-  /// Bills `n` queries to this thread's *current* scope — the active
-  /// BillingScope sink when one is open, the global counter otherwise.
-  /// Memoized evaluations re-bill a cached evaluation's recorded query
-  /// count here, so the total a scan reports is identical to a fresh
-  /// evaluation running in the same scope (speculative or not).
-  void BillCurrent(std::int64_t n) {
-    if (bill_sink_ != nullptr) {
-      *bill_sink_ += n;
-    } else {
-      AddBilled(n);
-    }
-  }
-
  private:
-  static thread_local std::int64_t* bill_sink_;
-
   DistanceOracle* inner_;
   FaultInjector* faults_ = nullptr;
 };

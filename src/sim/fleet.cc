@@ -29,10 +29,6 @@ std::unique_lock<std::mutex> Fleet::MaybeLockCommit() {
 
 const RouteState& Fleet::CachedState(WorkerId w, PlanningContext* ctx) {
   const std::unique_lock<std::mutex> lock = MaybeLockShard(w);
-  return CachedStateLocked(w, ctx);
-}
-
-const RouteState& Fleet::CachedStateLocked(WorkerId w, PlanningContext* ctx) {
   StateCacheEntry& entry = state_cache_[static_cast<std::size_t>(w)];
   const Route& rt = routes_[static_cast<std::size_t>(w)];
   if (!entry.valid || entry.route_version != rt.version()) {

@@ -73,26 +73,9 @@ class Fleet {
   /// concurrent requests sharing a candidate may both call this; the
   /// returned reference stays valid while the route's version is stable.
   const RouteState& CachedState(WorkerId w, PlanningContext* ctx);
-  /// CachedState for callers that already hold LockWorker(w): the
-  /// speculative planning path evaluates a candidate's bound and DP
-  /// insertion under one stripe lock (capturing the route version
-  /// alongside), so re-acquiring inside would self-deadlock.
-  const RouteState& CachedStateLocked(WorkerId w, PlanningContext* ctx);
   const Point& anchor_point(WorkerId w) const {
     return graph_->coord(route(w).anchor());
   }
-
-  /// Worker `w`'s mutex stripe (no-op lock without attached shards). The
-  /// speculative planner holds this across each candidate evaluation so
-  /// a concurrent commit stage cannot mutate the route mid-read.
-  std::unique_lock<std::mutex> LockWorker(WorkerId w) {
-    return MaybeLockShard(w);
-  }
-  /// The cross-shard commit lock (heap/index/records; no-op without
-  /// shards). The speculative planner holds it across a grid-index
-  /// candidate filter so the read is atomic against the commit thread's
-  /// index moves.
-  std::unique_lock<std::mutex> LockCommitState() { return MaybeLockCommit(); }
 
   /// Commits every stop scheduled at or before `t`, fleet-wide. Amortized
   /// O(log |W|) per committed stop via the arrival heap.

@@ -58,13 +58,6 @@ struct SimOptions {
   /// producer (backpressure) rather than dropping arrivals, so this caps
   /// backlog memory without affecting any planning result.
   std::size_t ingest_capacity = 4096;
-  /// Window-slot ring size of the pipelined engine (>= 2; values below 2
-  /// are clamped). 2 is the classic double buffer: plan window k+1 while
-  /// window k commits. Deeper rings let the planner run ahead by
-  /// speculating windows against the live fleet and validating at commit
-  /// time — results are identical at every depth (SimReport deterministic
-  /// fields); only occupancy and the speculation hit/miss counters move.
-  int pipeline_depth = 2;
   /// Collect engine metrics (obs::Registry) for the run and attach the
   /// final snapshot to SimReport::metrics. Off by default: the
   /// instrumentation is compiled in everywhere but its hot paths reduce
@@ -72,7 +65,7 @@ struct SimOptions {
   /// bench_hotpath's obs_overhead lines).
   bool collect_metrics = false;
   /// When non-empty, record engine spans (ingest/plan/commit stages,
-  /// window epochs, per-shard commits, speculation) and write Chrome
+  /// window epochs, per-shard commits) and write Chrome
   /// trace-event JSON here at the end of the run — loadable in Perfetto
   /// or chrome://tracing. Independent of collect_metrics.
   std::string trace_path;
@@ -128,7 +121,6 @@ struct SimOptions {
 /// of per-site silent clamps). Invalid combinations are clamped to the
 /// nearest sane value with a warning on stderr:
 ///   - pipeline without batch_window_s > 0  -> pipeline off
-///   - pipeline_depth < 2                   -> 2
 ///   - ingest_capacity == 0                 -> 1
 ///   - negative batch_window_s / wall limit / slack floor / budget -> 0
 ///   - num_threads < 1                      -> 1

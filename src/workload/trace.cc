@@ -3,10 +3,25 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 
 namespace urpsm {
+
+namespace {
+
+/// Bucket coordinate of `offset_km` on an axis of `n` buckets. The clamp
+/// runs in floating point before the cast, so a far (or non-finite)
+/// point lands in an edge bucket instead of overflowing the int cast.
+/// Within [0, n) this is exactly the plain truncating cast.
+int BucketCoord(double offset_km, double bucket_km, int n) {
+  const double c = offset_km / bucket_km;
+  if (!(c > 0.0)) return 0;  // negative or NaN
+  return static_cast<int>(std::min(c, static_cast<double>(n - 1)));
+}
+
+}  // namespace
 
 bool LoadTripCsv(const std::string& path, std::vector<TripRecord>* out) {
   std::ifstream in(path);
@@ -18,11 +33,21 @@ bool LoadTripCsv(const std::string& path, std::vector<TripRecord>* out) {
     if (line.empty()) continue;
     std::istringstream ss(line);
     TripRecord t;
-    char comma;
-    if (!(ss >> t.release_min >> comma >> t.pickup.x >> comma >> t.pickup.y >>
-          comma >> t.dropoff.x >> comma >> t.dropoff.y >> comma >>
-          t.passengers)) {
+    char sep[5] = {};
+    if (!(ss >> t.release_min >> sep[0] >> t.pickup.x >> sep[1] >>
+          t.pickup.y >> sep[2] >> t.dropoff.x >> sep[3] >> t.dropoff.y >>
+          sep[4] >> t.passengers)) {
       return false;
+    }
+    if (std::any_of(std::begin(sep), std::end(sep),
+                    [](char c) { return c != ','; })) {
+      return false;
+    }
+    ss >> std::ws;
+    if (!ss.eof()) return false;  // anything after `passengers`
+    for (const double v : {t.release_min, t.pickup.x, t.pickup.y,
+                           t.dropoff.x, t.dropoff.y}) {
+      if (!std::isfinite(v)) return false;
     }
     trips.push_back(t);
   }
@@ -53,19 +78,15 @@ NearestVertexIndex::NearestVertexIndex(const RoadNetwork& graph,
   buckets_.resize(static_cast<std::size_t>(bx_) * by_);
   for (VertexId v = 0; v < graph.num_vertices(); ++v) {
     const Point& p = graph.coord(v);
-    const int x = std::clamp(static_cast<int>((p.x - lo_.x) / bucket_km_), 0,
-                             bx_ - 1);
-    const int y = std::clamp(static_cast<int>((p.y - lo_.y) / bucket_km_), 0,
-                             by_ - 1);
+    const int x = BucketCoord(p.x - lo_.x, bucket_km_, bx_);
+    const int y = BucketCoord(p.y - lo_.y, bucket_km_, by_);
     buckets_[static_cast<std::size_t>(y) * bx_ + x].push_back(v);
   }
 }
 
 VertexId NearestVertexIndex::Nearest(const Point& p) const {
-  const int cx =
-      std::clamp(static_cast<int>((p.x - lo_.x) / bucket_km_), 0, bx_ - 1);
-  const int cy =
-      std::clamp(static_cast<int>((p.y - lo_.y) / bucket_km_), 0, by_ - 1);
+  const int cx = BucketCoord(p.x - lo_.x, bucket_km_, bx_);
+  const int cy = BucketCoord(p.y - lo_.y, bucket_km_, by_);
   VertexId best = kInvalidVertex;
   double best_d = std::numeric_limits<double>::infinity();
   const int max_ring = std::max(bx_, by_);
@@ -83,7 +104,10 @@ VertexId NearestVertexIndex::Nearest(const Point& p) const {
         if (std::max(std::abs(x - cx), std::abs(y - cy)) != ring) continue;
         for (VertexId v : buckets_[static_cast<std::size_t>(y) * bx_ + x]) {
           const double d = EuclideanDistance(graph_->coord(v), p);
-          if (d < best_d) {
+          // The first vertex is taken even at d == inf: a point so far
+          // away that every distance overflows still maps to a real
+          // vertex (one in the edge bucket nearest to it).
+          if (best == kInvalidVertex || d < best_d) {
             best_d = d;
             best = v;
           }

@@ -456,8 +456,8 @@ TEST(ObsTraceTest, DisabledRecorderRecordsNothing) {
 }
 
 TEST(ObsTraceTest, PipelinedSmokeRunEmitsValidChromeTrace) {
-  // Runs the real three-stage engine (4 threads, depth-4 ring so the
-  // speculation spans appear) with tracing and metrics on, then
+  // Runs the real three-stage engine (4 threads) with tracing and
+  // metrics on, then
   // validates the flushed Chrome trace: well-formed JSON envelope, every
   // event parseable, B/E spans balanced per tid with matching names,
   // timestamps non-decreasing per tid, window epochs on the plan/commit
@@ -481,7 +481,6 @@ TEST(ObsTraceTest, PipelinedSmokeRunEmitsValidChromeTrace) {
   options.num_threads = 4;
   options.batch_window_s = 4.0;
   options.pipeline = true;
-  options.pipeline_depth = 4;
   options.ingest_capacity = 32;
   options.collect_metrics = true;
   options.trace_path = trace_path;
@@ -519,7 +518,6 @@ TEST(ObsTraceTest, PipelinedSmokeRunEmitsValidChromeTrace) {
   std::map<int, double> last_ts;
   std::map<std::string, int> begins;
   int commit_apply_with_shard = 0;
-  int speculation_instants = 0;
   for (std::size_t i = 2; i + 1 < lines.size(); ++i) {
     TraceEvent e;
     ASSERT_TRUE(ParseEvent(lines[i], &e)) << lines[i];
@@ -538,9 +536,7 @@ TEST(ObsTraceTest, PipelinedSmokeRunEmitsValidChromeTrace) {
       EXPECT_EQ(stack.back(), e.name) << "mismatched span nesting";
       stack.pop_back();
     }
-    if (e.name == "window.plan_exact" || e.name == "window.plan_speculative" ||
-        e.name == "window.validate" || e.name == "plan" ||
-        e.name == "commit") {
+    if (e.name == "window.plan" || e.name == "plan" || e.name == "commit") {
       if (e.ph == 'B') {
         ASSERT_EQ(e.args.count("epoch"), 1u) << lines[i];
         EXPECT_GE(e.args.at("epoch"), 1) << lines[i];
@@ -550,11 +546,6 @@ TEST(ObsTraceTest, PipelinedSmokeRunEmitsValidChromeTrace) {
       ASSERT_EQ(e.args.count("shard"), 1u) << lines[i];
       ASSERT_EQ(e.args.count("epoch"), 1u) << lines[i];
       if (e.args.at("shard") >= 0) ++commit_apply_with_shard;
-    }
-    if (e.name == "speculation" && e.ph == 'i') {
-      EXPECT_EQ(e.args.count("hits"), 1u);
-      EXPECT_EQ(e.args.count("misses"), 1u);
-      ++speculation_instants;
     }
   }
   for (const auto& [tid, stack] : open) {
@@ -567,11 +558,6 @@ TEST(ObsTraceTest, PipelinedSmokeRunEmitsValidChromeTrace) {
   EXPECT_EQ(begins["commit"], rep.pipeline.windows);
   EXPECT_GT(begins["commit.apply"], 0);
   EXPECT_GT(commit_apply_with_shard, 0);
-  // Whether the depth-4 ring actually ran ahead is timing-dependent, but
-  // whenever the report says it speculated, the trace must show it.
-  if (rep.pipeline.speculation_hits + rep.pipeline.speculation_misses > 0) {
-    EXPECT_GT(speculation_instants, 0);
-  }
 }
 
 // --------------------------------------------- multi-run aggregation
@@ -586,8 +572,8 @@ TEST(ObsAverageReportsTest, PoolsStageDigestsAndAveragesMetricMaps) {
   a.pipeline.enabled = b.pipeline.enabled = true;
   a.pipeline.windows = 10;
   b.pipeline.windows = 20;
-  a.pipeline.speculation_misses = 4;
-  b.pipeline.speculation_misses = 6;
+  a.pipeline.backpressure_waits = 4;
+  b.pipeline.backpressure_waits = 6;
   for (int i = 1; i <= 50; ++i) {
     a.pipeline.plan_window_ms.Add(static_cast<double>(i));          // 1..50
     b.pipeline.plan_window_ms.Add(static_cast<double>(50 + i));     // 51..100
@@ -599,7 +585,7 @@ TEST(ObsAverageReportsTest, PoolsStageDigestsAndAveragesMetricMaps) {
 
   const SimReport avg = AverageReports({a, b});
   EXPECT_EQ(avg.pipeline.windows, 15);
-  EXPECT_EQ(avg.pipeline.speculation_misses, 5);
+  EXPECT_EQ(avg.pipeline.backpressure_waits, 5);
   EXPECT_TRUE(avg.trace_enabled);
   // Pooled, not averaged: the p50 of 1..100, not a mean of per-run p50s.
   EXPECT_EQ(avg.pipeline.plan_window_ms.count(), 100u);

@@ -171,14 +171,12 @@ WorkloadRun RunOnce(const RoadNetwork& graph, DistanceOracle* oracle,
                     const std::vector<Worker>& workers,
                     const std::vector<Request>& requests, int num_threads,
                     double batch_window_s, bool pipeline,
-                    std::size_t ingest_capacity = 4096,
-                    int pipeline_depth = 2) {
+                    std::size_t ingest_capacity = 4096) {
   SimOptions options;
   options.num_threads = num_threads;
   options.batch_window_s = batch_window_s;
   options.pipeline = pipeline;
   options.ingest_capacity = ingest_capacity;
-  options.pipeline_depth = pipeline_depth;
   Simulation sim(&graph, oracle, workers, &requests, options);
   WorkloadRun run;
   run.report = sim.Run(MakeDispatchWindowFactory({}));
@@ -269,140 +267,6 @@ INSTANTIATE_TEST_SUITE_P(Workloads, PipelineDeterminismTest,
                            return info.param > 20.0 ? "AcceptHeavy"
                                                     : "DefaultPenalties";
                          });
-
-// ------------------------------------------------- ring depth
-
-TEST(PipelineDepthTest, ReportsIdenticalAtEveryDepth) {
-  // The slot-ring depth only changes HOW far the planning stage may run
-  // ahead (speculating windows that commit-time validation re-derives),
-  // never any planning result: every deterministic report field must be
-  // bit-identical across depths, at 1 thread and with a real pool.
-  const RoadNetwork graph = MakeChengduLike(0.05, 2);
-  HubLabelOracle labels = HubLabelOracle::Build(graph);
-  Rng rng(83);
-  RequestParams rp;
-  rp.count = 200;
-  rp.duration_min = 150.0;
-  rp.penalty_factor = 10.0;
-  rp.seed = 89;
-  const std::vector<Request> requests =
-      GenerateRequests(graph, rp, &labels, &rng);
-  const std::vector<Worker> workers = GenerateWorkers(graph, 10, 4.0, &rng);
-
-  for (double window_s : {2.0, 6.0}) {
-    const WorkloadRun base = RunOnce(graph, &labels, workers, requests, 1,
-                                     window_s, /*pipeline=*/true,
-                                     /*capacity=*/4096, /*depth=*/2);
-    ASSERT_GT(base.report.served_requests, 0);
-    EXPECT_EQ(base.report.pipeline.depth, 2);
-    // The double buffer never speculates.
-    EXPECT_EQ(base.report.pipeline.speculation_hits, 0);
-    EXPECT_EQ(base.report.pipeline.speculation_misses, 0);
-    for (int depth : {3, 4, 8}) {
-      for (int threads : {1, 4}) {
-        const WorkloadRun run = RunOnce(graph, &labels, workers, requests,
-                                        threads, window_s, /*pipeline=*/true,
-                                        /*capacity=*/4096, depth);
-        EXPECT_EQ(run.report.pipeline.depth, depth);
-        ExpectIdentical(base, run,
-                        "window=" + std::to_string(window_s) + " depth=" +
-                            std::to_string(depth) + " threads=" +
-                            std::to_string(threads));
-      }
-    }
-  }
-}
-
-// ------------------------------------------------- forced speculation
-
-TEST(PipelineSpeculationTest, DivergedWindowsReplanAndMatchFusedReference) {
-  // Drives the plan/commit split by hand with the plan stage one window
-  // ahead: window e+1 is planned before window e commits, so the probe
-  // "every shard released by e" fails and the planner must speculate.
-  // A small contended fleet makes window e's commits overturn window
-  // e+1's speculative reads (forced misses -> commit-time replans), and
-  // the final outcome must still match the fused lock-step reference
-  // exactly — speculation is an execution strategy, not a result change.
-  const RoadNetwork graph = MakeChengduLike(0.05, 3);
-  HubLabelOracle labels = HubLabelOracle::Build(graph);
-  Rng rng(97);
-  RequestParams rp;
-  rp.count = 160;
-  rp.duration_min = 80.0;  // dense windows on a 6-worker fleet
-  rp.penalty_factor = 12.0;
-  rp.seed = 101;
-  const std::vector<Request> requests =
-      GenerateRequests(graph, rp, &labels, &rng);
-  const std::vector<Worker> workers = GenerateWorkers(graph, 6, 4.0, &rng);
-
-  const double window_min = 6.0 / 60.0;
-  // Shared window decomposition (identical to the windowed event loop).
-  std::vector<std::vector<RequestId>> batches;
-  std::vector<double> closes;
-  std::size_t next = 0;
-  while (next < requests.size()) {
-    const double window_end = requests[next].release_time + window_min;
-    std::vector<RequestId> batch;
-    while (next < requests.size() &&
-           requests[next].release_time < window_end) {
-      batch.push_back(requests[next].id);
-      ++next;
-    }
-    batches.push_back(std::move(batch));
-    closes.push_back(window_end);
-  }
-  ASSERT_GT(batches.size(), 4u);
-
-  // Reference: the fused lock-step loop (advance + OnBatch per window).
-  Fleet ref_fleet(workers, &graph);
-  PlanningContext ref_ctx(&graph, &labels, &requests);
-  DispatchWindowPlanner ref(&ref_ctx, &ref_fleet, PlannerConfig{},
-                            /*pool=*/nullptr);
-  for (std::size_t k = 0; k < batches.size(); ++k) {
-    ref_fleet.AdvanceTo(closes[k]);
-    ref.OnBatch(batches[k], closes[k],
-                static_cast<WindowEpoch>(k + 1));
-  }
-  ref_fleet.FinishAll();
-
-  // Speculative run: the plan stage stays one window ahead of commit.
-  Fleet fleet(workers, &graph);
-  PlanningContext ctx(&graph, &labels, &requests);
-  DispatchWindowPlanner planner(&ctx, &fleet, PlannerConfig{},
-                                /*pool=*/nullptr);
-  planner.ConfigurePipeline(4);
-  fleet.DisableArrivalHeap();
-  WindowEpoch planned = 0, committed = 0;
-  const auto plan_next = [&] {
-    const std::size_t k = static_cast<std::size_t>(planned);
-    planner.PlanWindow(batches[k], closes[k], ++planned);
-  };
-  plan_next();
-  while (committed < batches.size()) {
-    if (planned < batches.size()) plan_next();  // one window ahead
-    planner.CommitWindow(++committed);
-    const InvariantReport inv =
-        VerifyInvariants(fleet, requests, /*mid_run=*/true);
-    ASSERT_TRUE(inv.ok) << "after epoch " << committed << ": "
-                        << inv.violation;
-  }
-  fleet.FinishAll();
-
-  // Speculation actually happened and diverged at least once.
-  EXPECT_GT(planner.speculation_hits() + planner.speculation_misses(), 0);
-  EXPECT_GT(planner.speculation_misses(), 0);
-
-  // Bit-identical outcome versus the fused reference.
-  EXPECT_EQ(fleet.committed_distance(), ref_fleet.committed_distance());
-  for (const Request& r : requests) {
-    EXPECT_EQ(fleet.AssignedWorker(r.id), ref_fleet.AssignedWorker(r.id))
-        << "request " << r.id;
-    EXPECT_EQ(fleet.PickupTime(r.id), ref_fleet.PickupTime(r.id));
-    EXPECT_EQ(fleet.DropoffTime(r.id), ref_fleet.DropoffTime(r.id));
-  }
-  const InvariantReport inv = VerifyInvariants(fleet, requests);
-  EXPECT_TRUE(inv.ok) << inv.violation;
-}
 
 // --------------------------------------------------- saturation
 
@@ -593,9 +457,9 @@ TEST(PipelineCommitConflictTest, ConcurrentFootprintsMatchSerialCommit) {
   // on a small graph makes accepted proposals' shard footprints overlap
   // constantly, so the per-shard ticket queues (and the replan path for
   // proposals invalidated by an earlier conflicting commit) are
-  // exercised hard. Depth 4 with a real pool — speculative validation
-  // AND concurrent footprint commits — must match the depth-2 1-thread
-  // pipelined run bit-for-bit. Run under tsan by the tsan preset.
+  // exercised hard. Concurrent footprint commits on a real pool must
+  // match the 1-thread pipelined run bit-for-bit. Run under tsan by the
+  // tsan preset.
   for (const int seed : {5, 23}) {
     const RoadNetwork graph = MakeChengduLike(0.05, seed);
     HubLabelOracle labels = HubLabelOracle::Build(graph);
@@ -609,12 +473,10 @@ TEST(PipelineCommitConflictTest, ConcurrentFootprintsMatchSerialCommit) {
         GenerateRequests(graph, rp, &labels, &rng);
     const std::vector<Worker> workers = GenerateWorkers(graph, 7, 4.0, &rng);
 
-    const WorkloadRun base =
-        RunOnce(graph, &labels, workers, requests, 1, 4.0,
-                /*pipeline=*/true, /*capacity=*/32, /*depth=*/2);
-    const WorkloadRun run =
-        RunOnce(graph, &labels, workers, requests, 4, 4.0,
-                /*pipeline=*/true, /*capacity=*/32, /*depth=*/4);
+    const WorkloadRun base = RunOnce(graph, &labels, workers, requests, 1,
+                                     4.0, /*pipeline=*/true, /*capacity=*/32);
+    const WorkloadRun run = RunOnce(graph, &labels, workers, requests, 4,
+                                    4.0, /*pipeline=*/true, /*capacity=*/32);
     ExpectIdentical(base, run, "seed=" + std::to_string(seed));
 
     SimOptions options;
@@ -622,7 +484,6 @@ TEST(PipelineCommitConflictTest, ConcurrentFootprintsMatchSerialCommit) {
     options.batch_window_s = 4.0;
     options.pipeline = true;
     options.ingest_capacity = 32;
-    options.pipeline_depth = 4;
     Simulation sim(&graph, &labels, workers, &requests, options);
     sim.Run(MakeDispatchWindowFactory({}));
     const InvariantReport inv = VerifyInvariants(sim.fleet(), requests);

@@ -59,6 +59,45 @@ TEST_F(TraceTest, LoadRejectsMissingAndMalformed) {
   EXPECT_FALSE(LoadTripCsv(path_, &out));
 }
 
+TEST_F(TraceTest, LoadRejectsNonCommaSeparators) {
+  std::vector<TripRecord> out;
+  std::ofstream(path_) << "header\n1;2;3;4;5;6\n";
+  EXPECT_FALSE(LoadTripCsv(path_, &out));
+  std::ofstream(path_) << "header\n1,2,3,4,5,6\r\n";  // CRLF still loads
+  ASSERT_TRUE(LoadTripCsv(path_, &out));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].passengers, 6);
+}
+
+TEST_F(TraceTest, LoadRejectsTrailingFields) {
+  std::vector<TripRecord> out;
+  std::ofstream(path_) << "header\n1,2,3,4,5,6,junk\n";
+  EXPECT_FALSE(LoadTripCsv(path_, &out));
+}
+
+TEST_F(TraceTest, FarFinitePointMapsToARealVertex) {
+  // A finite but absurd coordinate loads (it is a number), and mapping it
+  // must neither overflow the bucket cast nor return kInvalidVertex.
+  std::vector<TripRecord> out;
+  std::ofstream(path_) << "header\n1,1e300,3,4,5,1\n";
+  ASSERT_TRUE(LoadTripCsv(path_, &out));
+  ASSERT_EQ(out.size(), 1u);
+  const NearestVertexIndex index(graph_);
+  for (const Point p : {out[0].pickup, Point{-1e300, 3.0}, Point{4.0, 1e300},
+                        Point{1e300, 1e300}}) {
+    const VertexId v = index.Nearest(p);
+    ASSERT_NE(v, kInvalidVertex);
+    EXPECT_GE(v, 0);
+    EXPECT_LT(v, graph_.num_vertices());
+  }
+  const auto requests =
+      RequestsFromTrips(graph_, out, 10.0, 10.0, &oracle_);
+  for (const Request& r : requests) {
+    EXPECT_NE(r.origin, kInvalidVertex);
+    EXPECT_NE(r.destination, kInvalidVertex);
+  }
+}
+
 TEST_F(TraceTest, NearestVertexIndexMatchesLinearScan) {
   const NearestVertexIndex index(graph_);
   Rng rng(9);
