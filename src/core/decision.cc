@@ -1,6 +1,7 @@
 #include "src/core/decision.h"
 
 #include <algorithm>
+#include <cassert>
 #include <vector>
 
 namespace urpsm {
@@ -111,6 +112,27 @@ double DecisionLowerBound(const Worker& worker, const Route& route,
     d_col[static_cast<std::size_t>(k)] = EuclideanDistance(p, dest) / vmax;
   }
   return DecisionDp(st, r, L, cap, o_col.data(), d_col.data());
+}
+
+// DecisionDp at n == 0, written out: j = 0 is the only position, picked[0]
+// is 0 (nothing on board), arr[0] is the anchor time and pts[0] the anchor
+// coordinate; the i < j case and the transition never run.
+double IdleDecisionLowerBound(const Worker& worker, const Route& route,
+                              const Request& r, double L,
+                              const RoadNetwork& graph) {
+  assert(route.empty());
+  if (worker.capacity - r.capacity < 0) return kInf;
+  const double t0 = route.anchor_time();
+  if (t0 > r.deadline) return kInf;  // the DP's arrival cutoff at j = 0
+  // Same expression as the column gather (divide, not multiply-by-
+  // reciprocal) — the bit-identity depends on it.
+  const double eo =
+      EuclideanDistance(graph.coord(route.anchor()), graph.coord(r.origin)) /
+      MaxSpeedKmPerMin();
+  if (!(t0 + eo + L <= r.deadline)) return kInf;
+  // (An infinite eo + L fails the DP's `lb < best` and returns kInf there;
+  // the clamp returns the same kInf here.)
+  return std::max(0.0, eo + L);
 }
 
 void BatchDecisionLowerBounds(const std::vector<const Worker*>& workers,

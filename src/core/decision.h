@@ -28,6 +28,19 @@ double DecisionLowerBound(const Worker& worker, const Route& route,
                           const RouteState& st, const Request& r, double L,
                           const RoadNetwork& graph);
 
+/// DecisionLowerBound of a worker whose route has no pending stops, in
+/// closed form: the Lemma 7 DP at n == 0 has the single placement
+/// "pick up and drop off right after the anchor", so the bound is
+/// euc(anchor, o_r) / v_max + L when that placement meets the deadline
+/// (kInf otherwise, or when K_r exceeds the worker's capacity). Needs no
+/// RouteState — O(1) per idle candidate — and evaluates the DP's own
+/// expressions in the DP's order, so it is bit-identical to
+/// DecisionLowerBound on the route's fresh state (decision_test fuzzes
+/// the pair, kInf included). `route` must be empty.
+double IdleDecisionLowerBound(const Worker& worker, const Route& route,
+                              const Request& r, double L,
+                              const RoadNetwork& graph);
+
 /// Batched decision phase: lower bounds for every candidate (worker,
 /// state) pair of ONE request, gathering all per-candidate Euclidean bound
 /// columns in a single pass over the concatenated route-state coordinate

@@ -22,15 +22,32 @@ double CandidateRadiusKm(const Request& r, double L, double now) {
   return (slack_min + lag_allowance) * MaxSpeedKmPerMin();
 }
 
+namespace {
+
+/// The planning phase's scan order as a strict total order: ascending
+/// lower bound, then ascending worker id. Candidates are distinct workers,
+/// so no two elements compare equal and every algorithm that orders by
+/// it — the full sort below, the pruned scan's heap pops — yields the
+/// same sequence.
+bool ScansBefore(const WorkerBound& a, const WorkerBound& b) {
+  if (a.lower_bound != b.lower_bound) return a.lower_bound < b.lower_bound;
+  return a.worker < b.worker;
+}
+
+/// ScansBefore reversed: std::make_heap/pop_heap keep the *largest*
+/// element in front, so this comparator puts the next one to scan there.
+bool ScansAfter(const WorkerBound& a, const WorkerBound& b) {
+  return ScansBefore(b, a);
+}
+
+}  // namespace
+
 std::vector<std::size_t> AscendingLowerBoundOrder(
     const std::vector<WorkerBound>& bounds) {
-  // Deterministic for a given bounds array: std::sort's introsort is a
-  // pure function of the comparator decisions and element positions, and
-  // every caller funnels through this one instantiation.
   std::vector<std::size_t> order(bounds.size());
   for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return bounds[a].lower_bound < bounds[b].lower_bound;
+    return ScansBefore(bounds[a], bounds[b]);
   });
   return order;
 }
@@ -62,12 +79,14 @@ WorkerId PlanRequestSequential(PlanningContext* ctx, Fleet* fleet,
                                InsertionCandidate* best_out,
                                std::int64_t* exact_evaluations) {
   // Phase 1 — decision (Algo. 4): per-worker lower bounds, no new queries.
-  // Route states come from the fleet's per-worker cache (keyed on
-  // Route::version): a worker whose route did not change since the last
-  // request reuses its arrays instead of re-deriving them. The fleet is
-  // frozen for the scan, so the cached state references stay valid while
-  // every candidate's Euclidean bound column is gathered in one fused
-  // pass; each bound is bit-identical to the per-candidate call.
+  // An idle candidate's bound is closed-form in its anchor and anchor
+  // time (IdleDecisionLowerBound), so it never fetches a RouteState: O(1)
+  // per idle candidate. Busy candidates' states come from the fleet's
+  // per-worker cache (keyed on Route::version), and their Euclidean bound
+  // columns are gathered in one fused pass. The fleet is frozen for the
+  // scan, so the routes read here and the cached state references stay
+  // valid; every bound is bit-identical to the per-candidate
+  // DecisionLowerBound.
   thread_local std::vector<WorkerBound> bounds;
   thread_local std::vector<const Worker*> batch_workers;
   thread_local std::vector<const RouteState*> batch_states;
@@ -80,42 +99,85 @@ WorkerId PlanRequestSequential(PlanningContext* ctx, Fleet* fleet,
   batch_workers.clear();
   batch_states.clear();
   for (const WorkerId w : candidates) {
+    const Route& route = fleet->route(w);
+    if (route.empty()) {
+      const double lb =
+          IdleDecisionLowerBound(fleet->worker(w), route, r, L, ctx->graph());
+      if (lb != kInf) bounds.push_back({w, lb});
+      continue;
+    }
     batch_workers.push_back(&fleet->worker(w));
     batch_states.push_back(&fleet->CachedState(w, ctx));
   }
   BatchDecisionLowerBounds(batch_workers, batch_states, r, L, ctx->graph(),
                            &batch_lbs);
-  double min_lb = kInf;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const double lb = batch_lbs[i];
-    if (lb == kInf) continue;  // provably infeasible for this worker
-    bounds.push_back({candidates[i], lb});
-    min_lb = std::min(min_lb, lb);
+  for (std::size_t i = 0; i < batch_workers.size(); ++i) {
+    // kInf: provably infeasible for this worker.
+    if (batch_lbs[i] != kInf) {
+      bounds.push_back({batch_workers[i]->id, batch_lbs[i]});
+    }
   }
   batch_workers_clamp.Observe(&batch_workers);
   batch_states_clamp.Observe(&batch_states);
   batch_lbs_clamp.Observe(&batch_lbs);
   bounds_clamp.Observe(&bounds);
   if (bounds.empty()) return kInvalidWorker;
+  double min_lb = kInf;
+  for (const WorkerBound& b : bounds) min_lb = std::min(min_lb, b.lower_bound);
   // Line 5 of Algo. 4: reject when the penalty is cheaper than even the
   // optimistic cost of serving.
   if (r.penalty < config.alpha * min_lb) return kInvalidWorker;
 
-  // Phase 2 — planning: scan in ascending LB order with exact insertion.
-  const std::vector<std::size_t> order = AscendingLowerBoundOrder(bounds);
-
-  // Multi-route gather: when the scan provably evaluates every ordered
-  // candidate (no Lemma 8 cutoff), all candidates' origin/destination
-  // distance columns are fetched with one multi-source oracle sweep up
-  // front. Billed queries and cell values are identical to the lazy
-  // per-candidate gathers; pruned scans keep the lazy gather so
-  // candidates cut off by Lemma 8 still pay no queries.
-  const bool batch_gather = !config.use_pruning;
-  thread_local std::vector<DistanceColumns> multi_cols;
-  thread_local HighWaterClamp multi_cols_clamp;
-  if (batch_gather) {
+  // Phase 2 — planning: scan in (lower bound, worker id) order with exact
+  // insertion. Strict improvement only: ties on the exact cost go to the
+  // earliest worker in that order. Together with the epsilon-guarded
+  // Lemma 8 cutoff (which never prunes a potential tie, only strictly
+  // worse workers), the chosen insertion is the same for any scan that
+  // follows this order and evaluates a superset — in particular
+  // ParallelGreedyDpPlanner's block-parallel scan over
+  // AscendingLowerBoundOrder is bit-identical to this one.
+  WorkerId best_worker = kInvalidWorker;
+  InsertionCandidate best;
+  const auto consider = [&](WorkerId w, InsertionCandidate cand) {
+    if (exact_evaluations != nullptr) ++*exact_evaluations;
+    if (!cand.feasible()) return;
+    cand.delta = ClampDetour(cand.delta);
+    if (cand.delta < best.delta) {
+      best = cand;
+      best_worker = w;
+    }
+  };
+  if (config.use_pruning) {
+    // Lazy order: heapify in O(n) and pop only the candidates the scan
+    // reaches before Lemma 8 cuts it off (on dense fleets a few percent
+    // of them), instead of sorting every bound up front. The pops follow
+    // the same total order a full sort would, so the evaluated sequence
+    // is the same.
+    std::make_heap(bounds.begin(), bounds.end(), ScansAfter);
+    while (!bounds.empty()) {
+      const WorkerBound next = bounds.front();
+      // Lemma 8: every remaining worker's exact cost is at least its LB.
+      if (best.feasible() && LemmaEightCutoff(best.delta, next.lower_bound)) {
+        break;
+      }
+      std::pop_heap(bounds.begin(), bounds.end(), ScansAfter);
+      bounds.pop_back();
+      const WorkerId w = next.worker;
+      consider(w, LinearDpInsertion(fleet->worker(w), fleet->route(w),
+                                    fleet->CachedState(w, ctx), r, ctx));
+    }
+  } else {
+    // Multi-route gather: the unpruned scan evaluates every ordered
+    // candidate, so all candidates' origin/destination distance columns
+    // are fetched with one multi-source oracle sweep up front. Billed
+    // queries and cell values are identical to the lazy per-candidate
+    // gathers the pruned scan keeps (so candidates cut off by Lemma 8
+    // still pay no queries).
+    const std::vector<std::size_t> order = AscendingLowerBoundOrder(bounds);
+    thread_local std::vector<DistanceColumns> multi_cols;
     thread_local std::vector<const Route*> batch_routes;
     thread_local std::vector<int> batch_cutoffs;
+    thread_local HighWaterClamp multi_cols_clamp;
     thread_local HighWaterClamp batch_routes_clamp;
     thread_local HighWaterClamp batch_cutoffs_clamp;
     batch_routes.clear();
@@ -130,38 +192,11 @@ WorkerId PlanRequestSequential(PlanningContext* ctx, Fleet* fleet,
     batch_routes_clamp.Observe(&batch_routes);
     batch_cutoffs_clamp.Observe(&batch_cutoffs);
     multi_cols_clamp.Observe(&multi_cols);
-  }
-
-  WorkerId best_worker = kInvalidWorker;
-  InsertionCandidate best;
-  for (std::size_t ko = 0; ko < order.size(); ++ko) {
-    const std::size_t k = order[ko];
-    // Lemma 8: every remaining worker's exact cost is at least its LB.
-    if (config.use_pruning && best.feasible() &&
-        LemmaEightCutoff(best.delta, bounds[k].lower_bound)) {
-      break;
-    }
-    const WorkerId w = bounds[k].worker;
-    if (exact_evaluations != nullptr) ++*exact_evaluations;
-    // The fleet is frozen between Touch and ApplyInsertion, so this hits
-    // the state cache warmed by the decision phase.
-    const InsertionCandidate cand =
-        batch_gather
-            ? LinearDpInsertion(fleet->worker(w), fleet->route(w),
-                                fleet->CachedState(w, ctx), r, multi_cols[ko],
-                                ctx)
-            : LinearDpInsertion(fleet->worker(w), fleet->route(w),
-                                fleet->CachedState(w, ctx), r, ctx);
-    // Strict improvement only: ties on the exact cost go to the earliest
-    // worker in the scan order. Together with the epsilon-guarded cutoff
-    // above (which never prunes a potential tie, only strictly worse
-    // workers), the chosen insertion is the same for any scan that
-    // follows this order and evaluates a superset — in particular
-    // ParallelGreedyDpPlanner's block-parallel scan and the dispatch-
-    // window engine's per-shard scans are bit-identical to this one.
-    if (cand.feasible() && cand.delta < best.delta) {
-      best = cand;
-      best_worker = w;
+    for (std::size_t ko = 0; ko < order.size(); ++ko) {
+      const WorkerId w = bounds[order[ko]].worker;
+      consider(w, LinearDpInsertion(fleet->worker(w), fleet->route(w),
+                                    fleet->CachedState(w, ctx), r,
+                                    multi_cols[ko], ctx));
     }
   }
   if (best_worker == kInvalidWorker) return kInvalidWorker;

@@ -1,6 +1,7 @@
 #ifndef URPSM_SRC_CORE_PLANNER_H_
 #define URPSM_SRC_CORE_PLANNER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -130,8 +131,9 @@ struct PlannerConfig {
 /// Per request: (1) grid-index + deadline candidate filter; (2) decision
 /// phase (Algo. 4) computing per-worker lower bounds with one distance
 /// query total, rejecting when p_r < alpha * min LB; (3) planning phase
-/// scanning workers in ascending-LB order with exact linear DP insertion,
-/// stopping early via Lemma 8 when pruning is enabled.
+/// scanning workers in ascending-LB order (ties by worker id) with exact
+/// linear DP insertion, stopping early via Lemma 8 when pruning is
+/// enabled.
 class GreedyDpPlanner : public RoutePlanner {
  public:
   GreedyDpPlanner(PlanningContext* ctx, Fleet* fleet, PlannerConfig config);
@@ -173,10 +175,22 @@ inline bool LemmaEightCutoff(double best_delta, double lower_bound) {
   return best_delta < lower_bound - 1e-9 * (1.0 + best_delta);
 }
 
-/// Indices of `bounds` in ascending lower-bound order — the planning
-/// phase's shared scan order. Both planners sort the same array through
-/// this one function, so they obtain the same permutation (ties included)
-/// and with it the same first-strict-improvement winner.
+/// The exact insertion cost the planning scan compares, shared verbatim
+/// by GreedyDpPlanner's scan and ParallelGreedyDpPlanner's block
+/// reduction: Delta* >= 0 in a metric (the decision bound clamps the same
+/// way), so a negative linear-DP delta is the oracle's rounding on a
+/// zero-detour insertion (o_r and d_r on the shortest path between two
+/// consecutive stops). Clamped, it ties with an exact 0 instead of
+/// outranking it by an ulp-level sum difference that depends on which
+/// exact oracle computed the legs.
+inline double ClampDetour(double delta) { return std::max(0.0, delta); }
+
+/// Indices of `bounds` in the planning phase's scan order: ascending lower
+/// bound, ties by ascending worker id. That is a strict total order over
+/// distinct workers, so the permutation does not depend on the sort
+/// algorithm or on the order of `bounds`, and PlanRequestSequential's
+/// lazily popped pruned scan follows the same sequence. Every scan that
+/// uses it therefore keeps the same first-strict-improvement winner.
 std::vector<std::size_t> AscendingLowerBoundOrder(
     const std::vector<WorkerBound>& bounds);
 
@@ -193,17 +207,24 @@ std::vector<WorkerId> FilterCandidates(PlanningContext* ctx,
                                        double now);
 
 /// THE sequential decision+planning scan (Algos. 4+5 minus candidate
-/// filtering): per-candidate lower bounds in candidate order, the penalty
-/// rejection against the minimum bound, then exact linear-DP evaluation
-/// in ascending-lower-bound order with the (config-gated) Lemma 8 cutoff
-/// and strict-improvement tie-break. Every sequential planning path —
-/// GreedyDpPlanner::OnRequest, the dispatch-window engine's singleton
-/// batches and its conflict replans — funnels through this one function,
-/// so their bit-identity contract has a single implementation to stay in
-/// lockstep with. `candidates` must already be touched to the planning
-/// time; `L` is the request's direct distance. Returns kInvalidWorker on
-/// rejection, else the chosen worker with `*best` filled. Each linear-DP
-/// evaluation increments *exact_evaluations when non-null.
+/// filtering): per-candidate lower bounds (closed-form for idle workers,
+/// one fused batch for busy ones), the penalty rejection against the
+/// minimum bound, then exact linear-DP evaluation in (lower bound, worker
+/// id) order with the strict-improvement tie-break. With pruning on, the
+/// bounds are heapified and popped one at a time until the Lemma 8 cutoff,
+/// so candidates the scan never reaches are never sorted; without it the
+/// scan follows AscendingLowerBoundOrder (the same order). Every
+/// sequential planning path — GreedyDpPlanner::OnRequest, the
+/// dispatch-window engine's batches, singletons and conflict replans —
+/// funnels through this one function, so their bit-identity contract has
+/// a single implementation to stay in lockstep with. `candidates` must be
+/// distinct and already touched to the planning time, and their routes
+/// must not mutate during the call (idle routes are read unlocked; the
+/// window engine plans against a frozen fleet, and a conflict replan's
+/// candidates sit in shards its commit ticket holds); `L` is the
+/// request's direct distance. Returns kInvalidWorker on rejection, else
+/// the chosen worker with `*best` filled. Each linear-DP evaluation
+/// increments *exact_evaluations when non-null.
 WorkerId PlanRequestSequential(PlanningContext* ctx, Fleet* fleet,
                                const PlannerConfig& config, const Request& r,
                                double L,

@@ -82,11 +82,11 @@ WorkerId ParallelGreedyDpPlanner::OnRequest(const Request& r) {
   if (bounds.empty()) return kInvalidWorker;
   if (r.penalty < config_.alpha * min_lb) return kInvalidWorker;
 
-  // Phase 2 — planning: ascending LB order, exact linear DP in parallel
-  // blocks of kEvalBlock with the Lemma 8 cutoff between blocks (see the
-  // class comment for why this is bit-identical to the sequential scan).
-  // Order and cutoff are the sequential planner's own helpers: both
-  // planners see the same bounds array, so they share one scan order.
+  // Phase 2 — planning: (lower bound, worker id) order, exact linear DP
+  // in parallel blocks of kEvalBlock with the Lemma 8 cutoff between
+  // blocks (see the class comment for why this is bit-identical to the
+  // sequential scan). Order and cutoff are the sequential planner's own
+  // helpers; the order is total, so it is the sequential scan's order.
   const std::vector<std::size_t> order = AscendingLowerBoundOrder(bounds);
 
   std::vector<InsertionCandidate>& cands = cands_;
@@ -111,11 +111,13 @@ WorkerId ParallelGreedyDpPlanner::OnRequest(const Request& r) {
     exact_evaluations_ += static_cast<std::int64_t>(b1 - b0);
     // Reduce in scan order with strict improvement only — exactly the
     // sequential planner's tie behaviour (the earliest candidate in the
-    // shared AscendingLowerBoundOrder permutation wins equal costs).
+    // (lower bound, worker id) order wins equal costs).
     for (std::size_t idx = b0; idx < b1; ++idx) {
       const std::size_t k = order[idx];
-      const InsertionCandidate& cand = cands[k];
-      if (cand.feasible() && cand.delta < best.delta) {
+      InsertionCandidate cand = cands[k];
+      if (!cand.feasible()) continue;
+      cand.delta = ClampDetour(cand.delta);
+      if (cand.delta < best.delta) {
         best = cand;
         best_worker = bounds[k].worker;
       }

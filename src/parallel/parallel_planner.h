@@ -25,18 +25,20 @@ namespace urpsm {
 ///      fleet, evaluated with ParallelFor (candidates are partitioned in
 ///      grid-shard order — WithinRadius emits cell by cell — and claimed
 ///      chunk-wise by the pool's threads).
-///   3. Planning phase: candidates sorted by lower bound are evaluated
-///      with the exact linear DP in fixed-size blocks; within a block
-///      evaluations run in parallel, and between blocks the Lemma 8
-///      cutoff is applied exactly as in the sequential scan.
+///   3. Planning phase: candidates in AscendingLowerBoundOrder (lower
+///      bound, then worker id) are evaluated with the exact linear DP in
+///      fixed-size blocks; within a block evaluations run in parallel,
+///      and between blocks the Lemma 8 cutoff is applied exactly as in
+///      the sequential scan.
 ///
-/// Determinism: the result is bit-identical to GreedyDpPlanner's. Both
-/// planners sort the same bounds array with the same comparator (hence
-/// share one scan order) and keep the first strict cost improvement, the
-/// blockwise scan
-/// evaluates a superset of the candidates the sequential pruned scan
-/// evaluates, and the epsilon-guarded cutoff guarantees no member of
-/// that superset can beat or tie the sequential winner. The block size is a
+/// Determinism: the result is bit-identical to GreedyDpPlanner's. The
+/// scan order is a strict total order over (lower bound, worker id), so
+/// this planner's full sort and the sequential planner's lazily popped
+/// heap visit candidates in one and the same sequence; both keep the
+/// first strict cost improvement, the blockwise scan evaluates a superset
+/// of the candidates the sequential pruned scan evaluates, and the
+/// epsilon-guarded cutoff guarantees no member of that superset can beat
+/// or tie the sequential winner. The block size is a
 /// constant — deliberately independent of the pool size — so the set of
 /// exact evaluations, and with it the distance-query count, is identical
 /// for every thread count.

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "src/core/decision.h"
 #include "src/insertion/insertion.h"
 #include "tests/test_util.h"
@@ -135,6 +138,83 @@ TEST(DecisionColumnTest, ColumnPathBitIdenticalToReferenceFuzz) {
   EXPECT_EQ(compared, 400);
   EXPECT_GT(finite, 50);     // the fuzz really exercised feasible bounds
   EXPECT_GT(cutoff_hit, 20);  // ...and the deadline-cutoff gather
+}
+
+TEST(DecisionIdleTest, ClosedFormBitIdenticalToDpFuzz) {
+  // IdleDecisionLowerBound against both DP paths on fresh idle route
+  // states. The planner's scan uses the closed form for every idle
+  // candidate, so any difference — an ulp, or a finite value where the DP
+  // says kInf — would change which workers it scans and in what order.
+  // Covers anchors after the deadline, deadlines on either side of the
+  // t0 + eo + L boundary, K_r above the worker's capacity, L = 0, and
+  // anchors tens of kilometres from the origin.
+  TestEnv env(MakeGridGraph(30, 30, 1.0));
+  const int nv = env.graph().num_vertices();
+  Rng rng(131);
+  int finite = 0, anchor_late = 0, over_capacity = 0, zero_l = 0,
+      far = 0, boundary_inf = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    const Worker worker{0, 0, rng.UniformInt(1, 4)};
+    const VertexId anchor = rng.UniformInt(0, nv - 1);
+    const double t0 = rng.Uniform(0.0, 100.0);
+    Route route(anchor, t0);
+    // Some requests start at the anchor, some have d == o (L = 0).
+    const VertexId o = iter % 11 == 0 ? anchor : rng.UniformInt(0, nv - 1);
+    const VertexId d = iter % 7 == 0 ? o : rng.UniformInt(0, nv - 1);
+    const double eo =
+        EuclideanDistance(env.graph().coord(anchor), env.graph().coord(o)) /
+        MaxSpeedKmPerMin();
+    const double l_est = env.graph().EuclideanLowerBoundMin(o, d);
+    double deadline = 0.0;
+    switch (iter % 5) {
+      case 0:  // the anchor is already past the deadline
+        deadline = t0 - rng.Uniform(0.0, 10.0);
+        break;
+      case 1:  // exactly the anchor time
+        deadline = t0;
+        break;
+      case 2:  // around the pickup-then-direct-ride boundary
+        deadline = t0 + eo + l_est * rng.Uniform(0.8, 3.0) +
+                   rng.Uniform(-1.0, 1.0);
+        break;
+      case 3:
+        deadline = t0 + rng.Uniform(0.0, 1e4);
+        break;
+      default:
+        deadline = kInf;
+        break;
+    }
+    const Request r = env.AddRequest(o, d, 0.0, deadline, 10.0,
+                                     rng.UniformInt(1, 5));
+    const double L = env.ctx()->DirectDist(r.id);
+    const RouteState st = BuildRouteState(route, env.ctx());
+    const double idle =
+        IdleDecisionLowerBound(worker, route, r, L, env.graph());
+    const double dp = DecisionLowerBound(worker, route, st, r, L, env.graph());
+    const double ref =
+        DecisionLowerBoundReference(worker, route, st, r, L, env.graph());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(idle),
+              std::bit_cast<std::uint64_t>(dp))
+        << "iter " << iter << ": " << idle << " vs " << dp;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(idle),
+              std::bit_cast<std::uint64_t>(ref))
+        << "iter " << iter << ": " << idle << " vs " << ref;
+    if (idle < kInf) ++finite;
+    if (t0 > deadline) ++anchor_late;
+    if (r.capacity > worker.capacity) ++over_capacity;
+    if (L == 0.0) ++zero_l;
+    if (eo * MaxSpeedKmPerMin() > 25.0) ++far;
+    if (idle == kInf && t0 <= deadline && r.capacity <= worker.capacity) {
+      ++boundary_inf;  // rejected by the t0 + eo + L deadline test
+    }
+  }
+  // The fuzz really reached every branch.
+  EXPECT_GT(finite, 500);
+  EXPECT_GT(anchor_late, 300);
+  EXPECT_GT(over_capacity, 300);
+  EXPECT_GT(zero_l, 200);
+  EXPECT_GT(far, 100);
+  EXPECT_GT(boundary_inf, 100);
 }
 
 }  // namespace
