@@ -44,11 +44,9 @@ class RoutePlanner {
   virtual std::int64_t index_memory_bytes() const { return 0; }
 };
 
-/// Monotone dispatch-window counter: window k of one run has epoch k
-/// (1-based; epoch 0 means "outside any window" and every epoch wait is
-/// trivially satisfied at 0). The epoch is the unit of the pipelined
-/// engine's cross-window dependency graph — shard readiness, commit
-/// ordering and the double-buffered window slots are all keyed on it.
+/// Dispatch-window counter: window k of one run has epoch k (1-based).
+/// It labels a window in traces and metrics; no planning result depends
+/// on it.
 using WindowEpoch = std::uint64_t;
 
 /// A planner that consumes whole dispatch windows: the simulation buffers
@@ -59,56 +57,14 @@ using WindowEpoch = std::uint64_t;
 /// order — including in parallel — as long as rejections remain final.
 class BatchPlanner : public RoutePlanner {
  public:
-  /// Plans every buffered request of one window. `batch` holds the ids in
-  /// release order; `now` is the window close time — the fleet has already
-  /// been advanced to it, and all planning happens "at" this instant.
-  /// `epoch` is the window's position in the run (1, 2, ...): the windowed
-  /// event loop increments it per window, and planners that track
-  /// cross-window state (the dispatch-window engine's shard-readiness
-  /// graph) key it on the epoch. Planners driven outside the simulator may
-  /// pass 0 for "no epoch bookkeeping".
+  /// Plans and commits every buffered request of one window before
+  /// returning. `batch` holds the ids in release order; `now` is the
+  /// window close time — the fleet has already been advanced to it, and
+  /// all planning happens "at" this instant. `epoch` is the window's
+  /// position in the run (1, 2, ...), a trace/window label only; callers
+  /// outside the simulator may pass 0.
   virtual void OnBatch(const std::vector<RequestId>& batch, double now,
                        WindowEpoch epoch) = 0;
-};
-
-/// A batch planner whose window processing splits into a *planning* stage
-/// (pure against the fleet snapshot the previous commit left behind) and a
-/// *commit* stage (the only part that mutates the fleet) — the contract
-/// the pipelined event loop drives from two threads:
-///
-///   planning thread:  PlanWindow(k)   PlanWindow(k+1)   PlanWindow(k+2)
-///   commit thread:          CommitWindow(k)   CommitWindow(k+1)   ...
-///
-/// PlanWindow(k+1) may overlap CommitWindow(k): its per-shard *advance*
-/// stage (committing stops due by the window close) is gated on the
-/// commit stage's shard-readiness marks instead of a global barrier, so
-/// shards advance for window k+1 while window k's commit tail is still
-/// applying elsewhere. A request's candidate filtering is gated per
-/// shard too, on a worker-displacement bound: workers of a shard whose
-/// tile sits farther from the request origin than its candidate radius
-/// plus the shard's maximum displacement (v_max times the oldest member
-/// anchor's lag) provably cannot enter the filter's grid cells, so the
-/// filter runs as soon as the shards within that ball advanced — the
-/// global advance barrier is gone. CommitWindow calls are issued
-/// strictly in epoch order from a single thread, and OnBatch must remain
-/// exactly PlanWindow + CommitWindow fused (one implementation of the
-/// planning logic, so the windowed and pipelined loops cannot drift).
-class PipelinedBatchPlanner : public BatchPlanner {
- public:
-  /// Plans window `epoch` (close time `now`). Unlike OnBatch, the fleet
-  /// has NOT been pre-advanced: the implementation advances each shard's
-  /// workers to `now` itself, per shard, as the previous window's commit
-  /// stage releases that shard. Planning-thread only.
-  virtual void PlanWindow(const std::vector<RequestId>& batch, double now,
-                          WindowEpoch epoch) = 0;
-  /// Applies window `epoch`'s planned proposals in unified-cost-then-
-  /// request-id order, releasing each shard as its last dependent
-  /// proposal (or potential replan) retires. Commit-thread only; called
-  /// once per planned window, in epoch order.
-  virtual void CommitWindow(WindowEpoch epoch) = 0;
-  /// Prepares the planner for the split driving mode before the
-  /// pipelined loop starts. Must not be called mid-run.
-  virtual void ConfigurePipeline() {}
 };
 
 /// Builds the planner under test once the simulation has wired up the

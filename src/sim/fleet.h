@@ -85,17 +85,6 @@ class Fleet {
   /// and, if idle, moves its clock forward to `t`.
   void Touch(WorkerId w, double t);
 
-  /// Commits worker `w`'s stops due at or before `t` — Touch without the
-  /// idle-clock bump, i.e. exactly worker `w`'s share of AdvanceTo(t).
-  /// The pipelined dispatch engine advances the fleet through this, shard
-  /// by shard, instead of the driver-only heap walk: per-worker advance
-  /// results are independent of each other, so a fixed shard-then-worker
-  /// call order reproduces AdvanceTo's end state deterministically while
-  /// individual shards advance as the previous window releases them.
-  /// Shard-locked like Touch; safe to interleave with commit-stage
-  /// mutations of workers in other shards.
-  void AdvanceWorkerTo(WorkerId w, double t);
-
   /// Applies an insertion (pickup after position i, drop-off after j) to
   /// worker `w`'s route and records the assignment.
   void ApplyInsertion(WorkerId w, const Request& r, int i, int j,
@@ -109,14 +98,6 @@ class Fleet {
 
   /// Commits all remaining stops (end of simulation).
   void FinishAll();
-
-  /// Drops the arrival heap and stops feeding it: commits no longer push
-  /// entries, and AdvanceTo becomes a no-op. The pipelined engine calls
-  /// this before its stages start — it advances the fleet exclusively
-  /// through AdvanceWorkerTo, so heap entries would accumulate for the
-  /// whole run with no consumer (three pushes per served request).
-  /// Irreversible for this Fleet; must not be combined with AdvanceTo.
-  void DisableArrivalHeap();
 
   /// Worker assigned to a request, or kInvalidWorker.
   WorkerId AssignedWorker(RequestId r) const;
@@ -140,7 +121,7 @@ class Fleet {
   /// legs only. Each worker's legs are summed in route order and the
   /// per-worker sums are added in worker-id order, so the value does not
   /// depend on how commits of different workers interleave (heap-driven
-  /// AdvanceTo, per-worker Touch/AdvanceWorkerTo, shard-parallel commits).
+  /// AdvanceTo, per-worker Touch, shard-parallel commits).
   double committed_distance() const;
   /// Committed plus still-planned distance: equals sum_w D(S_w) over the
   /// full simulation once all requests are in.
@@ -174,7 +155,6 @@ class Fleet {
   const RoadNetwork* graph_;
   GridIndex* index_ = nullptr;
   FleetShards* shards_ = nullptr;  // non-null => shard-safe mode
-  bool heap_enabled_ = true;       // false => per-worker advance only
   std::mutex commit_mu_;           // guards cross-shard commit state
   std::vector<Route> routes_;
   std::vector<StateCacheEntry> state_cache_;  // slot w ↔ routes_[w]

@@ -11,13 +11,24 @@
 #include "src/model/feasibility.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
-#include "src/parallel/ingest_queue.h"
 #include "src/parallel/thread_pool.h"
 #include "src/sim/fleet.h"
 #include "src/sim/metrics.h"
 #include "src/util/fault.h"
 
 namespace urpsm {
+
+/// Deadline-aware admission control of the windowed loop. kAdmitAll
+/// (default) hands every release to the planner. The two shedding
+/// policies arm the admission levers of SimOptions (release-slack floor,
+/// per-window admit budget), both pure functions of simulated time, so
+/// shed sets are identical across thread counts; they differ only in
+/// which window members the budget drops.
+enum class AdmissionPolicy : int {
+  kAdmitAll = 0,        // nothing is shed (drain_after_s still applies)
+  kRejectAtIngress = 1, // budget keeps a window's earliest releases
+  kShedOldestSlack = 2, // budget drops a window's least-slack members
+};
 
 /// Options for one simulation run.
 struct SimOptions {
@@ -43,29 +54,14 @@ struct SimOptions {
   /// DispatchWindowPlanner guarantees that mode is bit-identical to the
   /// sequential pruneGreedyDP run at every thread count.
   double batch_window_s = 0.0;
-  /// Pipelined three-stage engine (ingest → plan → commit). Requires
-  /// batch_window_s > 0 and a planner implementing PipelinedBatchPlanner
-  /// (the dispatch-window engine); otherwise the option is ignored and
-  /// the lock-step windowed loop runs. With pipelining, the driver thread
-  /// keeps accepting and time-stamping arrivals for window k+1 while
-  /// window k is still being planned, and window k+1's per-shard work
-  /// starts as window k's commit stage releases each shard. Results are
-  /// thread-count and queue-capacity independent for a fixed window size
-  /// (SimReport deterministic fields; wall-clock stats vary run to run).
-  bool pipeline = false;
-  /// Ingest-queue capacity (arrivals buffered ahead of planning) when
-  /// pipeline is on. The queue is bounded: a full queue blocks the
-  /// producer (backpressure) rather than dropping arrivals, so this caps
-  /// backlog memory without affecting any planning result.
-  std::size_t ingest_capacity = 4096;
   /// Collect engine metrics (obs::Registry) for the run and attach the
   /// final snapshot to SimReport::metrics. Off by default: the
   /// instrumentation is compiled in everywhere but its hot paths reduce
   /// to a single branch when disabled (<2% overhead, measured by
   /// bench_hotpath's obs_overhead lines).
   bool collect_metrics = false;
-  /// When non-empty, record engine spans (ingest/plan/commit stages,
-  /// window epochs, per-shard commits) and write Chrome
+  /// When non-empty, record engine spans (windows, per-window planning,
+  /// per-proposal commits, shed/drain decisions) and write Chrome
   /// trace-event JSON here at the end of the run — loadable in Perfetto
   /// or chrome://tracing. Independent of collect_metrics.
   std::string trace_path;
@@ -74,38 +70,35 @@ struct SimOptions {
   /// metrics_snapshot_period_s seconds — the long-serving-loop exporter.
   std::string metrics_snapshot_path;
   double metrics_snapshot_period_s = 1.0;
-  /// Deadline-aware admission control of the pipelined ingest stage.
-  /// kBlock (default) is the lossless PR 7 behavior: a full queue blocks
-  /// the producer and nothing is ever shed. The shedding policies arm the
-  /// two *deterministic* admission levers below — both pure functions of
-  /// simulated time, so shed sets are identical across thread counts —
-  /// plus the queue-full safety valve (reject the incoming arrival under
-  /// kRejectAtIngress, evict the least-slack queued one under
-  /// kShedOldestSlack). The safety valve depends on physical queue
-  /// occupancy (wall clock); size ingest_capacity above the real backlog
-  /// wherever determinism matters.
-  AdmissionPolicy admission_policy = AdmissionPolicy::kBlock;
-  /// Ingress deadline-slack floor (simulated minutes): an arrival whose
-  /// deadline minus release minus the Euclidean lower-bound travel time
-  /// falls below this is shed at ingress (reason: deadline) — it could
-  /// not be delivered in time even by an adjacent idle worker, so the
-  /// drop is correct degradation, not data loss. Computed with the
-  /// oracle-free Euclidean bound, so arming it perturbs no query count.
-  /// <= 0 (default) disables the filter; ignored under kBlock.
+  /// Admission levers of the windowed loop (batch_window_s > 0). All
+  /// three act in simulated time while the loop assembles a window, in
+  /// this order: the drain cutoff ends admission, a release below the
+  /// slack floor is shed before it can open a window, and the admit
+  /// budget trims the assembled window. The per-request loop ignores
+  /// them (ValidateSimOptions clears them there with a warning).
+  /// admission_policy arms the slack floor and the budget; kAdmitAll
+  /// ignores both.
+  AdmissionPolicy admission_policy = AdmissionPolicy::kAdmitAll;
+  /// Release-slack floor (simulated minutes): a release whose deadline
+  /// minus release minus the Euclidean lower-bound travel time falls
+  /// below this is shed (reason: deadline). Even an adjacent idle worker
+  /// could not deliver it in time, so the drop is correct degradation,
+  /// not data loss. The bound is oracle-free, so arming the floor moves
+  /// no query count. <= 0 (default) disables it.
   double admission_slack_min = 0.0;
-  /// Per-window admit budget: at window assembly the plan stage keeps at
-  /// most this many members and sheds the excess (reason: overload) —
-  /// least slack first under kShedOldestSlack, latest releases under
-  /// kRejectAtIngress. Window membership is deterministic, so this lever
-  /// is too. 0 (default) = unlimited; ignored under kBlock.
+  /// Per-window admit budget: an assembled window keeps at most this
+  /// many members and sheds the rest (reason: overload), least slack
+  /// first under kShedOldestSlack, latest releases under
+  /// kRejectAtIngress. Window membership is deterministic, so the shed
+  /// set is too. 0 (default) = unlimited.
   int window_admit_budget = 0;
-  /// Graceful drain: once a release time reaches this simulated instant
-  /// (seconds, same clock as batch_window_s) the ingest stage stops
-  /// admitting, in-flight window slots are flushed and committed, and
-  /// the un-admitted remainder is shed (reason: drain) with exact final
-  /// accounting — the serving-loop shutdown path, as opposed to the
-  /// wall-limit kill switch which cancels and DNFs. < 0 (default) never
-  /// drains. Works under every admission policy.
+  /// Graceful drain: admission ends at the first release at or after
+  /// this simulated instant (seconds, same clock as batch_window_s).
+  /// Every window assembled before it is planned and committed, and the
+  /// remainder is shed (reason: drain) with exact final accounting: the
+  /// serving-loop shutdown path, as opposed to the wall-limit kill
+  /// switch, which DNFs. < 0 (default) never drains. Works under every
+  /// admission policy.
   double drain_after_s = -1.0;
   /// Deterministic fault injection (tests/benches): a seeded splitmix64
   /// schedule of wall-clock perturbations at named engine sites (see
@@ -120,8 +113,7 @@ struct SimOptions {
 /// by the Simulation constructor, so every run sees sane options instead
 /// of per-site silent clamps). Invalid combinations are clamped to the
 /// nearest sane value with a warning on stderr:
-///   - pipeline without batch_window_s > 0  -> pipeline off
-///   - ingest_capacity == 0                 -> 1
+///   - admission levers without batch_window_s > 0 -> cleared
 ///   - negative batch_window_s / wall limit / slack floor / budget -> 0
 ///   - num_threads < 1                      -> 1
 ///   - metrics_snapshot_period_s <= 0       -> 1.0
@@ -160,14 +152,13 @@ class Simulation {
   bool request_served(RequestId id) const;
 
  private:
-  // The three event loops Run dispatches between. Each processes the
+  // The two event loops Run dispatches between. Each processes the
   // request stream, mutates the loop-specific SimReport fields
-  // (processed_requests, response samples, timed_out, pipeline stats) and
+  // (processed_requests, response samples, timed_out, shed counts) and
   // returns the planning wall time consumed — the Finalize budget and
-  // kill-switch accounting are shared by all three.
+  // kill-switch accounting are shared by both.
   double RunPerRequest(RoutePlanner* planner, SimReport* report);
   double RunWindowed(BatchPlanner* batcher, SimReport* report);
-  double RunPipelined(PipelinedBatchPlanner* planner, SimReport* report);
 
   const RoadNetwork* graph_;
   DistanceOracle* oracle_;

@@ -6,20 +6,20 @@
 
 namespace urpsm {
 
-/// Named fault-injection sites along the ingest -> plan -> commit path of
-/// the pipelined engine. Each site is a point where a seeded schedule may
-/// perturb the *wall-clock* timing of the run — never a planning input —
-/// so every deterministic SimReport field must survive any schedule (the
-/// fault suite's core assertion).
+/// Named fault-injection sites along the windowed engine's plan and
+/// commit path. Each site is a point where a seeded schedule may perturb
+/// the *wall-clock* timing of the run — never a planning input — so every
+/// deterministic SimReport field must survive any schedule (the fault
+/// suite's core assertion). kDrainTrigger is the one exception: it moves
+/// the simulated drain cutoff, so it changes the report, but only as a
+/// pure function of the seed.
 enum class FaultSite : int {
-  kIngestStall = 0,   // short producer pause before an arrival is offered
-  kIngestBurst = 1,   // long producer pause -> a release backlog bursts out
-  kOracleDelay = 2,   // distance-query latency in BilledOracle::Distance
-  kShardLockHold = 3, // commit stage holds a shard's epoch lock longer
-  kPoolTaskDelay = 4, // thread-pool chunk execution delay
-  kDrainTrigger = 5,  // mid-run graceful drain at a seed-derived instant
+  kOracleDelay = 0,   // distance-query latency in BilledOracle::Distance
+  kShardLockHold = 1, // commit holds a proposal's shard tickets longer
+  kPoolTaskDelay = 2, // thread-pool chunk execution delay
+  kDrainTrigger = 3,  // mid-run graceful drain at a seed-derived instant
 };
-inline constexpr int kNumFaultSites = 6;
+inline constexpr int kNumFaultSites = 4;
 
 const char* FaultSiteName(FaultSite site);
 

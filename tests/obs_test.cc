@@ -3,7 +3,7 @@
 // million-sample pooled input; metrics-registry semantics (disabled
 // inertness, thread-safe sharded counters under concurrent snapshots,
 // histogram expansion, callback-gauge freeze, the JSON-lines exporter);
-// Chrome trace-event schema validation over a real pipelined smoke run
+// Chrome trace-event schema validation over a real windowed smoke run
 // (well-formed JSON, balanced B/E spans per tid, non-decreasing
 // timestamps per tid, shard ids on commit spans); and the NaN pins for
 // zero-request and timed-out runs. The registry/trace suites run under
@@ -455,14 +455,14 @@ TEST(ObsTraceTest, DisabledRecorderRecordsNothing) {
   t.Flush();  // no path, no file, no crash
 }
 
-TEST(ObsTraceTest, PipelinedSmokeRunEmitsValidChromeTrace) {
-  // Runs the real three-stage engine (4 threads) with tracing and
-  // metrics on, then
-  // validates the flushed Chrome trace: well-formed JSON envelope, every
-  // event parseable, B/E spans balanced per tid with matching names,
-  // timestamps non-decreasing per tid, window epochs on the plan/commit
-  // spans and shard ids on the commit.apply spans. The file is also the
-  // CI trace artifact (obs_trace_smoke.json in the test working dir).
+TEST(ObsTraceTest, WindowedSmokeRunEmitsValidChromeTrace) {
+  // Runs the windowed engine (4 threads) with tracing and metrics on,
+  // then validates the flushed Chrome trace: well-formed JSON envelope,
+  // every event parseable, B/E spans balanced per tid with matching
+  // names, timestamps non-decreasing per tid, window epochs on the
+  // window/window.plan spans and shard ids on the commit.apply spans.
+  // The file is also the CI trace artifact (obs_trace_smoke.json in the
+  // test working dir).
   const RoadNetwork graph = MakeChengduLike(0.05, 2);
   HubLabelOracle labels = HubLabelOracle::Build(graph);
   Rng rng(41);
@@ -480,8 +480,6 @@ TEST(ObsTraceTest, PipelinedSmokeRunEmitsValidChromeTrace) {
   SimOptions options;
   options.num_threads = 4;
   options.batch_window_s = 4.0;
-  options.pipeline = true;
-  options.ingest_capacity = 32;
   options.collect_metrics = true;
   options.trace_path = trace_path;
   Simulation sim(&graph, &labels, workers, &requests, options);
@@ -495,13 +493,13 @@ TEST(ObsTraceTest, PipelinedSmokeRunEmitsValidChromeTrace) {
     EXPECT_TRUE(std::isfinite(value)) << key;
   }
   EXPECT_GE(rep.metrics.at("engine.windows"), 1.0);
-  EXPECT_EQ(rep.metrics.at("ingest.total_pushed"),
+  EXPECT_EQ(rep.metrics.at("admission.admitted"),
             static_cast<double>(requests.size()));
   EXPECT_EQ(rep.metrics.at("oracle.queries"),
             static_cast<double>(rep.distance_queries));
   EXPECT_GT(rep.distance_queries, 0);
   EXPECT_EQ(rep.metrics.at("pool.threads"), 4.0);
-  EXPECT_EQ(rep.metrics.count("shards.commit_blocking_waits"), 1u);
+  EXPECT_EQ(rep.metrics.count("engine.commit.replans"), 1u);
 
   // --- the flushed trace file ---
   std::ifstream in(trace_path);
@@ -536,7 +534,7 @@ TEST(ObsTraceTest, PipelinedSmokeRunEmitsValidChromeTrace) {
       EXPECT_EQ(stack.back(), e.name) << "mismatched span nesting";
       stack.pop_back();
     }
-    if (e.name == "window.plan" || e.name == "plan" || e.name == "commit") {
+    if (e.name == "window" || e.name == "window.plan") {
       if (e.ph == 'B') {
         ASSERT_EQ(e.args.count("epoch"), 1u) << lines[i];
         EXPECT_GE(e.args.at("epoch"), 1) << lines[i];
@@ -551,45 +549,46 @@ TEST(ObsTraceTest, PipelinedSmokeRunEmitsValidChromeTrace) {
   for (const auto& [tid, stack] : open) {
     EXPECT_TRUE(stack.empty()) << "unbalanced spans on tid " << tid;
   }
-  // The stage spans the pipeline exists for are all present, one plan
-  // and one commit span per window epoch.
-  EXPECT_EQ(begins["ingest.replay"], 1);
-  EXPECT_EQ(begins["plan"], rep.pipeline.windows);
-  EXPECT_EQ(begins["commit"], rep.pipeline.windows);
+  // One window span per window; multi-member windows also emit a
+  // window.plan span each (singletons take the sequential fast path).
+  EXPECT_GT(begins["window"], 0);
+  EXPECT_EQ(static_cast<double>(begins["window.plan"]),
+            rep.metrics.at("engine.windows"));
+  EXPECT_LE(begins["window.plan"], begins["window"]);
   EXPECT_GT(begins["commit.apply"], 0);
   EXPECT_GT(commit_apply_with_shard, 0);
 }
 
 // --------------------------------------------- multi-run aggregation
 
-TEST(ObsAverageReportsTest, PoolsStageDigestsAndAveragesMetricMaps) {
-  // Per-run PipelineStats stage timings used to be dropped by
-  // AverageReports; now counters average, stage-time digests pool (true
+TEST(ObsAverageReportsTest, PoolsResponseDigestsAndAveragesMetricMaps) {
+  // AverageReports: counters average, response-time digests pool (true
   // pooled percentiles), metric maps average element-wise over the runs
-  // that reported each key, and trace_enabled ORs.
+  // that reported each key, and trace_enabled / drained OR.
   SimReport a;
   SimReport b;
-  a.pipeline.enabled = b.pipeline.enabled = true;
-  a.pipeline.windows = 10;
-  b.pipeline.windows = 20;
-  a.pipeline.backpressure_waits = 4;
-  b.pipeline.backpressure_waits = 6;
+  a.shed_overload = 4;
+  b.shed_overload = 6;
   for (int i = 1; i <= 50; ++i) {
-    a.pipeline.plan_window_ms.Add(static_cast<double>(i));          // 1..50
-    b.pipeline.plan_window_ms.Add(static_cast<double>(50 + i));     // 51..100
+    a.response_stats.Add(static_cast<double>(i));       // 1..50
+    b.response_stats.Add(static_cast<double>(50 + i));  // 51..100
   }
   a.metrics["engine.windows"] = 10.0;
   b.metrics["engine.windows"] = 20.0;
   a.metrics["only_in_a"] = 8.0;
   b.trace_enabled = true;
+  b.drained = true;
+  b.drain_cutoff_min = 30.0;
 
   const SimReport avg = AverageReports({a, b});
-  EXPECT_EQ(avg.pipeline.windows, 15);
-  EXPECT_EQ(avg.pipeline.backpressure_waits, 5);
+  EXPECT_EQ(avg.shed_overload, 5);
   EXPECT_TRUE(avg.trace_enabled);
+  EXPECT_TRUE(avg.drained);
+  EXPECT_EQ(avg.drain_cutoff_min, 30.0);
   // Pooled, not averaged: the p50 of 1..100, not a mean of per-run p50s.
-  EXPECT_EQ(avg.pipeline.plan_window_ms.count(), 100u);
-  EXPECT_NEAR(avg.pipeline.plan_window_ms.Percentile(50), 50.5, 1e-9);
+  EXPECT_EQ(avg.response_stats.count(), 100u);
+  EXPECT_NEAR(avg.response_stats.Percentile(50), 50.5, 1e-9);
+  EXPECT_NEAR(avg.p50_response_ms, 50.5, 1e-9);
   EXPECT_EQ(avg.metrics.at("engine.windows"), 15.0);
   EXPECT_EQ(avg.metrics.at("only_in_a"), 8.0);  // over reporting runs only
 }
@@ -602,8 +601,7 @@ void ExpectFiniteReport(const SimReport& rep) {
       rep.penalty_sum,         rep.avg_response_ms,   rep.p50_response_ms,
       rep.p95_response_ms,     rep.p99_response_ms,   rep.max_response_ms,
       rep.wall_seconds,        rep.mean_pickup_wait_min,
-      rep.mean_detour_ratio,   rep.makespan_min,      rep.pipeline.occupancy,
-      rep.pipeline.ingest_wait_ms, rep.pipeline.plan_ms, rep.pipeline.commit_ms};
+      rep.mean_detour_ratio,   rep.makespan_min};
   for (double f : fields) EXPECT_TRUE(std::isfinite(f)) << f;
   for (const auto& [key, value] : rep.metrics) {
     EXPECT_TRUE(std::isfinite(value)) << key;
@@ -632,10 +630,10 @@ TEST(ObsSimReportTest, ZeroRequestRunHasFiniteRatios) {
   EXPECT_EQ(rep.metrics.at("oracle.queries"), 0.0);
 }
 
-TEST(ObsSimReportTest, TimedOutPipelinedRunHasFiniteRatios) {
-  // A zero wall budget kills the run before anything is planned: zero
-  // ingested arrivals, zero processed requests — occupancy and every
-  // latency summary must still be finite.
+TEST(ObsSimReportTest, TimedOutWindowedRunHasFiniteRatios) {
+  // A zero wall budget kills the run after its first window: most
+  // requests end as DNFs, and every ratio and latency summary must still
+  // be finite.
   const RoadNetwork graph = MakeChengduLike(0.05, 5);
   HubLabelOracle labels = HubLabelOracle::Build(graph);
   Rng rng(73);
@@ -650,14 +648,13 @@ TEST(ObsSimReportTest, TimedOutPipelinedRunHasFiniteRatios) {
   SimOptions options;
   options.num_threads = 2;
   options.batch_window_s = 6.0;
-  options.pipeline = true;
-  options.ingest_capacity = 4;
   options.wall_limit_seconds = 0.0;
   options.collect_metrics = true;
   Simulation sim(&graph, &labels, workers, &requests, options);
   const SimReport rep = sim.Run(MakeDispatchWindowFactory({}));
   EXPECT_TRUE(rep.timed_out);
-  EXPECT_EQ(rep.processed_requests, 0);
+  EXPECT_LT(rep.processed_requests, rep.total_requests);
+  EXPECT_GT(rep.dnf_requests, 0);
   ExpectFiniteReport(rep);
 }
 

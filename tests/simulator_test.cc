@@ -1,9 +1,14 @@
+#include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/algos/batch.h"
+#include "src/shortest/hub_labels.h"
+#include "src/sim/dispatch_window.h"
 #include "src/sim/metrics.h"
 #include "src/sim/simulator.h"
 #include "src/workload/city.h"
@@ -198,31 +203,49 @@ TEST(SimulatorTest, MoreWorkersNeverHurtMuch) {
 TEST(ValidateSimOptionsTest, CleanOptionsPassThroughSilently) {
   SimOptions options;
   options.batch_window_s = 6.0;
-  options.pipeline = true;
   options.num_threads = 8;
+  options.admission_policy = AdmissionPolicy::kShedOldestSlack;
+  options.admission_slack_min = 2.0;
+  options.window_admit_budget = 5;
+  options.drain_after_s = 600.0;
   std::vector<std::string> warnings;
   const SimOptions out = ValidateSimOptions(options, &warnings);
   EXPECT_TRUE(warnings.empty());
-  EXPECT_TRUE(out.pipeline);
   EXPECT_EQ(out.num_threads, 8);
   EXPECT_EQ(out.batch_window_s, 6.0);
+  EXPECT_EQ(out.admission_policy, AdmissionPolicy::kShedOldestSlack);
+  EXPECT_EQ(out.admission_slack_min, 2.0);
+  EXPECT_EQ(out.window_admit_budget, 5);
+  EXPECT_EQ(out.drain_after_s, 600.0);
 }
 
-TEST(ValidateSimOptionsTest, PipelineWithoutWindowIsDisabledWithWarning) {
-  SimOptions options;
-  options.pipeline = true;  // but batch_window_s stays 0
-  std::vector<std::string> warnings;
-  const SimOptions out = ValidateSimOptions(options, &warnings);
-  EXPECT_FALSE(out.pipeline);
-  ASSERT_EQ(warnings.size(), 1u);
-  EXPECT_NE(warnings[0].find("pipeline requires batch_window_s"),
-            std::string::npos);
+TEST(ValidateSimOptionsTest, AdmissionWithoutWindowIsDisabledWithWarning) {
+  // The per-request loop ignores the admission levers, so each of them set
+  // without a window is cleared with one warning.
+  SimOptions slack;
+  slack.admission_policy = AdmissionPolicy::kShedOldestSlack;
+  slack.admission_slack_min = 3.0;
+  SimOptions budget;
+  budget.admission_policy = AdmissionPolicy::kRejectAtIngress;
+  budget.window_admit_budget = 4;
+  SimOptions drain;
+  drain.drain_after_s = 120.0;
+  for (const SimOptions& options : {slack, budget, drain}) {
+    std::vector<std::string> warnings;
+    const SimOptions out = ValidateSimOptions(options, &warnings);
+    EXPECT_EQ(out.admission_policy, AdmissionPolicy::kAdmitAll);
+    EXPECT_EQ(out.admission_slack_min, 0.0);
+    EXPECT_EQ(out.window_admit_budget, 0);
+    EXPECT_EQ(out.drain_after_s, -1.0);
+    ASSERT_EQ(warnings.size(), 1u);
+    EXPECT_NE(warnings[0].find("require batch_window_s > 0"),
+              std::string::npos);
+  }
 }
 
 TEST(ValidateSimOptionsTest, InvalidNumericsClampToNearestSane) {
   SimOptions options;
   options.batch_window_s = -3.0;
-  options.ingest_capacity = 0;
   options.num_threads = -2;
   options.wall_limit_seconds = -1.0;
   options.admission_slack_min = -5.0;
@@ -231,19 +254,18 @@ TEST(ValidateSimOptionsTest, InvalidNumericsClampToNearestSane) {
   std::vector<std::string> warnings;
   const SimOptions out = ValidateSimOptions(options, &warnings);
   EXPECT_EQ(out.batch_window_s, 0.0);
-  EXPECT_EQ(out.ingest_capacity, 1u);
   EXPECT_EQ(out.num_threads, 1);
   EXPECT_EQ(out.wall_limit_seconds, 0.0);
   EXPECT_EQ(out.admission_slack_min, 0.0);
   EXPECT_EQ(out.window_admit_budget, 0);
   EXPECT_EQ(out.metrics_snapshot_period_s, 1.0);
-  EXPECT_GE(warnings.size(), 7u);  // one message per clamp above
+  EXPECT_GE(warnings.size(), 6u);  // one message per clamp above
 }
 
 TEST(ValidateSimOptionsTest, FaultRatesAndDelaysAreClamped) {
   SimOptions options;
   options.faults.Arm(FaultSite::kOracleDelay, 1.5, -10.0);  // both invalid
-  options.faults.Arm(FaultSite::kIngestStall, -0.2, 5.0);
+  options.faults.Arm(FaultSite::kPoolTaskDelay, -0.2, 5.0);
   std::vector<std::string> warnings;
   const SimOptions out = ValidateSimOptions(options, &warnings);
   EXPECT_EQ(out.faults.site[static_cast<int>(FaultSite::kOracleDelay)].rate,
@@ -251,24 +273,250 @@ TEST(ValidateSimOptionsTest, FaultRatesAndDelaysAreClamped) {
   EXPECT_EQ(
       out.faults.site[static_cast<int>(FaultSite::kOracleDelay)].delay_us,
       0.0);
-  EXPECT_EQ(out.faults.site[static_cast<int>(FaultSite::kIngestStall)].rate,
+  EXPECT_EQ(out.faults.site[static_cast<int>(FaultSite::kPoolTaskDelay)].rate,
             0.0);
   EXPECT_GE(warnings.size(), 3u);
 }
 
 TEST(ValidateSimOptionsTest, ConstructorAppliesValidation) {
   // The constructor routes its options through ValidateSimOptions, so a
-  // degenerate configuration (pipeline without a window) still
-  // runs the windowed loop instead of crashing or silently misbehaving.
+  // degenerate configuration (a drain without a window) still runs the
+  // per-request loop over every request instead of silently shedding.
   SimFixture f(23, 4, 20);
   SimOptions options;
-  options.pipeline = true;  // no batch window: validation turns this off
+  options.drain_after_s = 0.0;  // no batch window: validation clears this
   Simulation sim(&f.graph, &f.oracle, f.workers, &f.requests, options);
   const SimReport rep = sim.Run(MakePruneGreedyDpFactory({}));
-  EXPECT_FALSE(rep.pipeline.enabled);
+  EXPECT_FALSE(rep.drained);
+  EXPECT_EQ(rep.shed_requests, 0);
   EXPECT_EQ(rep.processed_requests, rep.total_requests);
   const InvariantReport acct = CheckAccounting(rep);
   EXPECT_TRUE(acct.ok) << acct.violation;
+}
+
+// ------------------------------------ windowed loop: kill switch
+
+TEST(WindowedTimeoutTest, ZeroBudgetKillSwitchDnfsEveryLaterWindow) {
+  // A zero wall budget lets exactly the first window plan (the kill switch
+  // checks the time spent *before* each window), then cuts the run: every
+  // later request is a DNF, billed its penalty, with exact accounting.
+  const RoadNetwork graph = MakeChengduLike(0.05, 5);
+  HubLabelOracle labels = HubLabelOracle::Build(graph);
+  Rng rng(73);
+  RequestParams rp;
+  rp.count = 300;
+  rp.duration_min = 90.0;
+  rp.penalty_factor = 10.0;
+  rp.seed = 79;
+  const std::vector<Request> requests =
+      GenerateRequests(graph, rp, &labels, &rng);
+  const std::vector<Worker> workers = GenerateWorkers(graph, 10, 4.0, &rng);
+
+  SimOptions options;
+  options.num_threads = 2;
+  options.batch_window_s = 6.0;
+  options.wall_limit_seconds = 0.0;
+  Simulation sim(&graph, &labels, workers, &requests, options);
+  const SimReport rep = sim.Run(MakeDispatchWindowFactory({}));
+
+  int first_window = 0;
+  while (first_window < static_cast<int>(requests.size()) &&
+         requests[static_cast<std::size_t>(first_window)].release_time <
+             requests.front().release_time + 6.0 / 60.0) {
+    ++first_window;
+  }
+  ASSERT_LT(first_window, rep.total_requests);
+  EXPECT_TRUE(rep.timed_out);
+  EXPECT_EQ(rep.processed_requests, first_window);
+  EXPECT_EQ(rep.response_stats.count(),
+            static_cast<std::size_t>(first_window));
+  EXPECT_EQ(rep.dnf_requests, rep.total_requests - first_window);
+  EXPECT_EQ(rep.shed_requests, 0);
+  EXPECT_EQ(rep.served_requests + rep.rejected_requests, first_window);
+  double unserved_penalty = 0.0;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    if (!sim.served()[i]) unserved_penalty += requests[i].penalty;
+  }
+  EXPECT_DOUBLE_EQ(rep.penalty_sum, unserved_penalty);
+  const InvariantReport acct = CheckAccounting(rep);
+  EXPECT_TRUE(acct.ok) << acct.violation;
+  const InvariantReport inv = VerifyInvariants(sim.fleet(), requests);
+  EXPECT_TRUE(inv.ok) << inv.violation;
+}
+
+// ------------------------------- windowed loop: admission and drain
+
+// Shared workload for the admission tests: the levers, not the planner,
+// are under test here. The oracle holds a pointer into the graph, so both
+// live together in one leaked struct (labels are built only after the
+// graph reached its final address).
+struct AdmissionWorkload {
+  explicit AdmissionWorkload(RoadNetwork g) : graph(std::move(g)) {}
+  RoadNetwork graph;
+  std::unique_ptr<HubLabelOracle> labels;
+  std::vector<Request> requests;
+  std::vector<Worker> workers;
+};
+
+const AdmissionWorkload& AdmissionSetup() {
+  static const AdmissionWorkload* w = [] {
+    auto* aw = new AdmissionWorkload(MakeChengduLike(0.05, 2));
+    aw->labels =
+        std::make_unique<HubLabelOracle>(HubLabelOracle::Build(aw->graph));
+    Rng rng(67);
+    RequestParams rp;
+    rp.count = 180;
+    rp.duration_min = 90.0;  // dense: several requests per 6 s window
+    rp.seed = 71;
+    aw->requests = GenerateRequests(aw->graph, rp, aw->labels.get(), &rng);
+    // Every third request gets a near-impossible deadline (2 min of
+    // slack against a 6 min admission floor) so the slack-floor tests
+    // have a deterministic population to shed; the rest keep the
+    // generator's 10 min offset.
+    for (std::size_t i = 0; i < aw->requests.size(); i += 3) {
+      aw->requests[i].deadline = aw->requests[i].release_time + 2.0;
+    }
+    aw->workers = GenerateWorkers(aw->graph, 10, 4.0, &rng);
+    return aw;
+  }();
+  return *w;
+}
+
+struct AdmissionRun {
+  SimReport report;
+  std::vector<bool> served;
+};
+
+AdmissionRun RunAdmission(SimOptions options) {
+  const AdmissionWorkload& w = AdmissionSetup();
+  options.batch_window_s = 6.0;
+  HubLabelOracle labels = *w.labels;  // per-run query counters
+  Simulation sim(&w.graph, &labels, w.workers, &w.requests, options);
+  AdmissionRun run;
+  run.report = sim.Run(MakeDispatchWindowFactory({}));
+  run.served = sim.served();
+  const InvariantReport acct = CheckAccounting(run.report);
+  EXPECT_TRUE(acct.ok) << acct.violation;
+  const InvariantReport inv = VerifyInvariants(sim.fleet(), w.requests);
+  EXPECT_TRUE(inv.ok) << inv.violation;
+  return run;
+}
+
+void ExpectSameShedAccounting(const AdmissionRun& a, const AdmissionRun& b,
+                              const std::string& label) {
+  SCOPED_TRACE(label);
+  EXPECT_EQ(a.report.served_requests, b.report.served_requests);
+  EXPECT_EQ(a.report.unified_cost, b.report.unified_cost);
+  EXPECT_EQ(a.report.total_distance, b.report.total_distance);
+  EXPECT_EQ(a.report.penalty_sum, b.report.penalty_sum);
+  EXPECT_EQ(a.report.distance_queries, b.report.distance_queries);
+  EXPECT_EQ(a.served, b.served);
+  EXPECT_EQ(a.report.rejected_requests, b.report.rejected_requests);
+  EXPECT_EQ(a.report.shed_requests, b.report.shed_requests);
+  EXPECT_EQ(a.report.dnf_requests, b.report.dnf_requests);
+  EXPECT_EQ(a.report.shed_deadline, b.report.shed_deadline);
+  EXPECT_EQ(a.report.shed_overload, b.report.shed_overload);
+  EXPECT_EQ(a.report.shed_drain, b.report.shed_drain);
+}
+
+TEST(WindowedAdmissionTest, AdmitAllPolicyShedsNothingAndMatchesDefault) {
+  SimOptions plain;
+  plain.num_threads = 2;
+  const AdmissionRun base = RunAdmission(plain);
+  EXPECT_EQ(base.report.shed_requests, 0);
+  EXPECT_EQ(base.report.dnf_requests, 0);
+  EXPECT_EQ(base.report.rejected_requests,
+            base.report.processed_requests - base.report.served_requests);
+  // A shedding policy with no lever armed must be bit-identical to the
+  // admit-all run.
+  SimOptions shed = plain;
+  shed.admission_policy = AdmissionPolicy::kShedOldestSlack;
+  const AdmissionRun unarmed = RunAdmission(shed);
+  ExpectSameShedAccounting(base, unarmed, "unarmed kShedOldestSlack");
+  EXPECT_EQ(unarmed.report.shed_requests, 0);
+}
+
+TEST(WindowedAdmissionTest, SlackFloorShedsUnservableDeterministically) {
+  SimOptions options;
+  options.num_threads = 1;
+  options.admission_policy = AdmissionPolicy::kShedOldestSlack;
+  options.admission_slack_min = 6.0;  // deadline offset is 10 min: bites
+  const AdmissionRun base = RunAdmission(options);
+  // Exactly the 60 doctored requests (every third of 180) fall below the
+  // floor: the shed set depends on the workload alone, not on planning.
+  EXPECT_EQ(base.report.shed_deadline, 60);
+  EXPECT_EQ(base.report.shed_overload, 0);
+  EXPECT_EQ(base.report.shed_drain, 0);
+  EXPECT_GT(base.report.served_requests, 0);
+  // The floor is a pure function of the workload (Euclidean lower bound):
+  // every thread count sheds the same set.
+  for (const int threads : {2, 4}) {
+    SimOptions o = options;
+    o.num_threads = threads;
+    ExpectSameShedAccounting(base, RunAdmission(o),
+                             "slack floor threads=" + std::to_string(threads));
+  }
+}
+
+TEST(WindowedAdmissionTest, WindowBudgetShedsExcessDeterministically) {
+  for (const AdmissionPolicy policy : {AdmissionPolicy::kShedOldestSlack,
+                                       AdmissionPolicy::kRejectAtIngress}) {
+    SimOptions options;
+    options.num_threads = 1;
+    options.admission_policy = policy;
+    options.window_admit_budget = 4;  // windows carry ~12 requests: bites
+    const AdmissionRun base = RunAdmission(options);
+    // Window membership depends on release times alone, so both policies
+    // shed the same number; they differ in which members go.
+    EXPECT_EQ(base.report.shed_overload, 109);
+    EXPECT_EQ(base.report.shed_deadline, 0);
+    EXPECT_GT(base.report.served_requests, 0);
+    for (const int threads : {2, 4}) {
+      SimOptions o = options;
+      o.num_threads = threads;
+      ExpectSameShedAccounting(
+          base, RunAdmission(o),
+          "budget policy=" +
+              std::to_string(static_cast<int>(policy)) +
+              " threads=" + std::to_string(threads));
+    }
+  }
+}
+
+TEST(WindowedDrainTest, CutoffCommitsPrefixAndShedsRemainderGracefully) {
+  SimOptions options;
+  options.num_threads = 1;
+  options.drain_after_s = 45.0 * 60.0;  // half the 90-min workload
+  const AdmissionRun base = RunAdmission(options);
+  EXPECT_TRUE(base.report.drained);
+  EXPECT_EQ(base.report.drain_cutoff_min, 45.0);
+  // Every release at or after the cutoff, and nothing else, is shed.
+  int after_cutoff = 0;
+  for (const Request& r : AdmissionSetup().requests) {
+    if (r.release_time >= 45.0) ++after_cutoff;
+  }
+  EXPECT_EQ(base.report.shed_drain, after_cutoff);
+  EXPECT_GT(base.report.shed_drain, 0);
+  EXPECT_GT(base.report.served_requests, 0);
+  // Graceful: everything admitted before the cutoff is planned and
+  // committed (no DNFs, unlike the wall-limit kill switch) and the shed
+  // remainder is billed its penalty.
+  EXPECT_EQ(base.report.dnf_requests, 0);
+  EXPECT_EQ(base.report.processed_requests,
+            base.report.total_requests -
+                static_cast<int>(base.report.shed_drain));
+  EXPECT_GT(base.report.penalty_sum, 0.0);
+  EXPECT_FALSE(base.report.timed_out);
+  // The cutoff is simulated time: thread counts cannot move it, and drain
+  // works under every admission policy.
+  for (const int threads : {2, 4}) {
+    SimOptions o = options;
+    o.num_threads = threads;
+    o.admission_policy = threads == 2 ? AdmissionPolicy::kAdmitAll
+                                      : AdmissionPolicy::kShedOldestSlack;
+    ExpectSameShedAccounting(base, RunAdmission(o),
+                             "drain threads=" + std::to_string(threads));
+  }
 }
 
 }  // namespace
